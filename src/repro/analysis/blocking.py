@@ -27,13 +27,13 @@ def blocking_closure(program: Program) -> dict[int, dict[str, list]]:
     """
     blocking_names = set(program.config.blocking_calls)
     closure: dict[int, dict[str, list]] = {}
-    resolved: dict[tuple[int, int], FunctionInfo | None] = {}
+    resolved: dict[tuple[int, int], list[FunctionInfo]] = {}
     for func in program.functions:
         mine: dict[str, list] = {}
         for index, site in enumerate(func.calls):
-            callee = program.resolve_call(site, func)
-            resolved[(id(func), index)] = callee
-            if callee is None and site.callee in blocking_names:
+            callees = program.resolve_targets(site, func)
+            resolved[(id(func), index)] = callees
+            if not callees and site.callee in blocking_names:
                 mine.setdefault(site.callee, [{
                     "file": func.file, "line": site.line,
                     "note": f"{func.qualname} calls {site.callee}()",
@@ -45,17 +45,18 @@ def blocking_closure(program: Program) -> dict[int, dict[str, list]]:
         for func in program.functions:
             mine = closure[id(func)]
             for index, site in enumerate(func.calls):
-                callee = resolved[(id(func), index)]
-                if callee is None or callee is func:
-                    continue
-                for name, chain in closure[id(callee)].items():
-                    if name in mine:
+                for callee in resolved[(id(func), index)]:
+                    if callee is func:
                         continue
-                    mine[name] = [{
-                        "file": func.file, "line": site.line,
-                        "note": f"{func.qualname} calls {callee.qualname}",
-                    }] + chain
-                    changed = True
+                    for name, chain in closure[id(callee)].items():
+                        if name in mine:
+                            continue
+                        mine[name] = [{
+                            "file": func.file, "line": site.line,
+                            "note": f"{func.qualname} calls "
+                                    f"{callee.qualname}",
+                        }] + chain
+                        changed = True
     return closure
 
 
@@ -93,21 +94,19 @@ def check(program: Program) -> list[Finding]:
             locks = [h for h in site.held if h.lock in forbidden]
             if not locks:
                 continue
-            callee = program.resolve_call(site, func)
-            if callee is None:
-                if site.callee in blocking_names:
+            callees = program.resolve_targets(site, func)
+            if not callees and site.callee in blocking_names:
+                for lock in locks:
+                    report(func, lock, site.callee, [{
+                        "file": func.file, "line": site.line,
+                        "note": f"{func.qualname} calls {site.callee}()",
+                    }])
+            for callee in callees:
+                for name, chain in closure[id(callee)].items():
                     for lock in locks:
-                        report(func, lock, site.callee, [{
+                        report(func, lock, name, [{
                             "file": func.file, "line": site.line,
                             "note": f"{func.qualname} calls "
-                                    f"{site.callee}()",
-                        }])
-                continue
-            for name, chain in closure[id(callee)].items():
-                for lock in locks:
-                    report(func, lock, name, [{
-                        "file": func.file, "line": site.line,
-                        "note": f"{func.qualname} calls "
-                                f"{callee.qualname}",
-                    }] + chain)
+                                    f"{callee.qualname}",
+                        }] + chain)
     return findings

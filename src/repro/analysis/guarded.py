@@ -37,7 +37,9 @@ def check(program: Program) -> list[Finding]:
     for func in program.functions:
         for access in func.accesses:
             if access.base == "self":
-                decls = by_class.get((func.klass, access.attr), [])
+                # Inherited attributes are guarded by the base's lock.
+                decls = [decl for klass in program.lineage(func.klass)
+                         for decl in by_class.get((klass, access.attr), [])]
             else:
                 decls = by_alias.get((access.base, access.attr), [])
             if not decls:
@@ -46,7 +48,8 @@ def check(program: Program) -> list[Finding]:
                 continue
             if (func.name in _CONSTRUCTION
                     and access.base == "self"
-                    and any(d.klass == func.klass for d in decls)):
+                    and any(d.klass in program.lineage(func.klass)
+                            for d in decls)):
                 continue
             held = {h.lock for h in access.held}
             if any(d.lock in held for d in decls):

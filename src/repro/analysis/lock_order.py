@@ -32,27 +32,28 @@ def transitive_acquires(program: Program) -> dict[int, dict[str, list]]:
                 "note": f"{func.qualname} acquires {acq.lock}",
             }])
         acquired[id(func)] = mine
-    resolved: dict[tuple[int, int], FunctionInfo | None] = {}
+    resolved: dict[tuple[int, int], list[FunctionInfo]] = {}
     for func in program.functions:
         for index, site in enumerate(func.calls):
-            resolved[(id(func), index)] = program.resolve_call(site, func)
+            resolved[(id(func), index)] = program.resolve_targets(site, func)
     changed = True
     while changed:
         changed = False
         for func in program.functions:
             mine = acquired[id(func)]
             for index, site in enumerate(func.calls):
-                callee = resolved[(id(func), index)]
-                if callee is None or callee is func:
-                    continue
-                for lock, chain in acquired[id(callee)].items():
-                    if lock in mine:
+                for callee in resolved[(id(func), index)]:
+                    if callee is func:
                         continue
-                    mine[lock] = [{
-                        "file": func.file, "line": site.line,
-                        "note": f"{func.qualname} calls {callee.qualname}",
-                    }] + chain
-                    changed = True
+                    for lock, chain in acquired[id(callee)].items():
+                        if lock in mine:
+                            continue
+                        mine[lock] = [{
+                            "file": func.file, "line": site.line,
+                            "note": f"{func.qualname} calls "
+                                    f"{callee.qualname}",
+                        }] + chain
+                        changed = True
     return acquired
 
 
@@ -111,15 +112,14 @@ def check(program: Program) -> list[Finding]:
         for site in func.calls:
             if not site.held:
                 continue
-            callee = program.resolve_call(site, func)
-            if callee is None:
-                continue
-            for lock, chain in acquired[id(callee)].items():
-                for held in site.held:
-                    consider(func, held, lock, [{
-                        "file": func.file, "line": site.line,
-                        "note": f"{func.qualname} calls {callee.qualname}",
-                    }] + chain)
+            for callee in program.resolve_targets(site, func):
+                for lock, chain in acquired[id(callee)].items():
+                    for held in site.held:
+                        consider(func, held, lock, [{
+                            "file": func.file, "line": site.line,
+                            "note": f"{func.qualname} calls "
+                                    f"{callee.qualname}",
+                        }] + chain)
 
     findings.extend(_cycle_findings(program, edges, seen))
     return findings

@@ -158,9 +158,15 @@ class _FunctionWalker:
             return None
         if not isinstance(expr.value, ast.Name):
             return None
-        base = expr.value.id
-        klass = self.info.klass if base == "self" else None
-        return self.config.resolve(expr.attr, klass)
+        if expr.value.id != "self" or self.info.klass is None:
+            return self.config.resolve(expr.attr, None)
+        # ``self.X`` may be a lock a base class declares (possibly one
+        # defined in another module): nearest declaring class wins.
+        for klass in lineage(self.collector.classes, self.info.klass):
+            spec = self.config.resolve(expr.attr, klass)
+            if spec is not None:
+                return spec
+        return None
 
     @staticmethod
     def _call_target(func: ast.AST) -> tuple[str | None, str | None]:
@@ -188,6 +194,28 @@ class _FunctionWalker:
         return RaiseSite(exc_name=name, line=node.lineno, is_call=is_call)
 
 
+def lineage(classes: dict[str, list[str]], klass: str) -> list[str]:
+    """``klass`` then every parsed ancestor, nearest first (breadth-first)."""
+    order: list[str] = []
+    queue = [klass]
+    while queue:
+        name = queue.pop(0)
+        if name not in order:
+            order.append(name)
+            queue.extend(classes.get(name, ()))
+    return order
+
+
+def _base_names(node: ast.ClassDef) -> list[str]:
+    bases = []
+    for base in node.bases:
+        if isinstance(base, ast.Name):
+            bases.append(base.id)
+        elif isinstance(base, ast.Attribute):
+            bases.append(base.attr)
+    return bases
+
+
 class _ModuleCollector:
     def __init__(self, path: Path, relpath: str, source: str,
                  config: AnalysisConfig):
@@ -197,7 +225,16 @@ class _ModuleCollector:
         self.source_lines = source.splitlines()
         self._class_spans: list[tuple[int, int, str]] = []
 
-    def collect(self) -> ModuleInfo:
+    def class_bases(self) -> dict[str, list[str]]:
+        """Every class this module defines, with its base-class names."""
+        return {node.name: _base_names(node) for node in ast.walk(self.tree)
+                if isinstance(node, ast.ClassDef)}
+
+    def collect(self, classes: dict[str, list[str]]) -> ModuleInfo:
+        """Walk the module; ``classes`` maps every class being linted, in
+        any module, to its base names, so ``self.X`` resolves against bases
+        defined elsewhere."""
+        self.classes = classes
         self._walk_top(self.tree, klass=None, prefix=None)
         self._scan_comments()
         return self.module
@@ -206,13 +243,7 @@ class _ModuleCollector:
                   prefix: str | None) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                bases = []
-                for base in child.bases:
-                    if isinstance(base, ast.Name):
-                        bases.append(base.id)
-                    elif isinstance(base, ast.Attribute):
-                        bases.append(base.attr)
-                self.module.classes[child.name] = bases
+                self.module.classes[child.name] = _base_names(child)
                 self._class_spans.append(
                     (child.lineno, child.end_lineno or child.lineno,
                      child.name))
@@ -307,6 +338,7 @@ class Program:
         self._by_name: dict[str, list[FunctionInfo]] = {}
         self._by_module: dict[str, dict[str, list[FunctionInfo]]] = {}
         self._by_qual: dict[tuple[str, str], FunctionInfo] = {}
+        self._by_qualname: dict[str, list[FunctionInfo]] = {}
         self.classes: dict[str, list[str]] = {}
         self.guarded: list[GuardedDecl] = []
         for module in self.modules:
@@ -316,36 +348,49 @@ class Program:
                 self._by_name.setdefault(info.name, []).append(info)
                 per_name.setdefault(info.name, []).append(info)
                 self._by_qual[(module.relpath, info.qualname)] = info
+                self._by_qualname.setdefault(info.qualname, []).append(info)
             self._by_module[module.relpath] = per_name
             self.classes.update(module.classes)
             self.guarded.extend(module.guarded)
+        self._subclasses: dict[str, list[str]] = {
+            klass: [other for other in self.classes
+                    if other != klass and klass in self.lineage(other)]
+            for klass in self.classes
+        }
+
+    def lineage(self, klass: str | None) -> list[str]:
+        """``klass`` and its parsed ancestors, nearest first."""
+        return [] if klass is None else lineage(self.classes, klass)
+
+    def _method(self, klass: str, name: str,
+                file: str) -> FunctionInfo | None:
+        """Method ``klass.name``: in ``file`` first, else unique anywhere."""
+        qualname = f"{klass}.{name}"
+        hit = self._by_qual.get((file, qualname))
+        if hit is not None:
+            return hit
+        hits = self._by_qualname.get(qualname, [])
+        return hits[0] if len(hits) == 1 else None
 
     def resolve_call(self, site: CallSite,
                      caller: FunctionInfo) -> FunctionInfo | None:
         """Name-based callee resolution, tuned for precision over recall.
 
-        ``self.f()`` binds to method ``f`` on the caller's class (or a
-        base class we parsed).  A bare call ``f()`` binds to a module
-        top-level function of that name (caller's module first, then a
-        globally unique one) or, for a known class name, to its
-        ``__init__``.  Calls through any other object (``conn.close()``,
-        ``engine.stats()``) stay unresolved: a method name only binds
-        via ``self``, so a pipe's ``close()`` is never mistaken for the
-        fleet's.  A missed edge is better than a phantom one.
+        ``self.f()`` binds to method ``f`` on the caller's class or the
+        nearest parsed base class that defines it, in any module.  A
+        bare call ``f()`` binds to a module top-level function of that
+        name (caller's module first, then a globally unique one) or, for
+        a known class name, to its ``__init__``.  Calls through any other
+        object (``conn.close()``, ``engine.stats()``) stay unresolved: a
+        method name only binds via ``self``, so a pipe's ``close()`` is
+        never mistaken for the fleet's.  A missed edge is better than a
+        phantom one.
         """
         if site.base == "self":
-            if caller.klass is None:
-                return None
-            klass = caller.klass
-            seen = set()
-            while klass is not None and klass not in seen:
-                seen.add(klass)
-                hit = self._by_qual.get(
-                    (caller.file, f"{klass}.{site.callee}"))
+            for klass in self.lineage(caller.klass):
+                hit = self._method(klass, site.callee, caller.file)
                 if hit is not None:
                     return hit
-                bases = self.classes.get(klass, [])
-                klass = bases[0] if bases else None
             return None
         if site.base is not None:
             return None
@@ -370,6 +415,22 @@ class Program:
         if len(everywhere) == 1:
             return everywhere[0]
         return None
+
+    def resolve_targets(self, site: CallSite,
+                        caller: FunctionInfo) -> list[FunctionInfo]:
+        """Every function a call may run: :meth:`resolve_call`'s binding
+        plus, for ``self.f()``, each override of ``f`` in a parsed subclass
+        of the caller's class — ``self`` may be an instance of any of them,
+        so a base-class template method reaches its subclasses' hooks."""
+        static = self.resolve_call(site, caller)
+        targets = [] if static is None else [static]
+        if site.base != "self" or caller.klass is None:
+            return targets
+        for klass in self._subclasses.get(caller.klass, ()):
+            hit = self._method(klass, site.callee, caller.file)
+            if hit is not None and all(hit is not t for t in targets):
+                targets.append(hit)
+        return targets
 
     def suppressed(self, relpath: str, line: int, rule: str) -> bool:
         for module in self.modules:
@@ -403,7 +464,7 @@ def build_program(paths: list[Path], config: AnalysisConfig,
     if root is None:
         root = (config.path.parent if config.path is not None
                 else Path.cwd()).resolve()
-    modules = []
+    collectors = []
     for file_path in collect_paths(paths):
         resolved = file_path.resolve()
         try:
@@ -416,5 +477,11 @@ def build_program(paths: list[Path], config: AnalysisConfig,
         except SyntaxError as exc:
             raise ConfigError(
                 f"cannot parse {relpath}: {exc}") from None
-        modules.append(collector.collect())
+        collectors.append(collector)
+    # Class hierarchies first, so every module resolves ``self`` locks
+    # against bases defined in the others.
+    classes: dict[str, list[str]] = {}
+    for collector in collectors:
+        classes.update(collector.class_bases())
+    modules = [collector.collect(classes) for collector in collectors]
     return Program(config=config, modules=modules)

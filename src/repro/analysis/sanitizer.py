@@ -323,6 +323,7 @@ def instrument(obj, sanitizer: LockOrderSanitizer, _depth: int = 0):
 #: pytest fixture flag is on.  (module, class) pairs, resolved lazily.
 AUTO_INSTRUMENT_CLASSES = (
     ("repro.service.engine", "ServingEngine"),
+    ("repro.service.router", "ShardRouter"),
     ("repro.service.sharding", "ShardedEngine"),
     ("repro.service.fleet", "ProcessShardFleet"),
     ("repro.service.fleet", "_ShardWorker"),

@@ -8,17 +8,21 @@ cache, and serves single queries and chunked cohorts with cache-hit stats;
 ``recommend(user, k)`` from a compact int32/float32 cache with exclusion
 re-filtering; :func:`serve_user_cohort` streams a user cohort through the
 batch path in bounded-memory chunks and reports throughput;
-:class:`ShardPlan` / :class:`ShardedEngine` partition the graph by
-connected component into a fleet of per-shard engines (score-exact for
-the walk family) with label-routed updates, a fleet-level row cache and
-merged :class:`FleetReport`\\ s; :class:`ProcessShardFleet` runs the same
-fleet with one *worker process per shard* under a supervisor — health
-checks, bounded-backoff restarts, a per-shard write-ahead log replayed on
-recovery, and degraded serving (healthy shards keep answering while a dead
-shard raises :class:`~repro.exceptions.ShardUnavailableError`), with
-:class:`FaultSpec` scripting deterministic crashes for failure-injection
-tests. ``python -m repro.cli fit`` / ``serve`` / ``serve-batch`` /
-``shard-fit`` are the command-line fronts.
+:class:`ShardPlan` partitions the graph by connected component into
+shards, score-exact for the walk family (or by edge-cut with k-hop halos,
+within a one-sided error bound).
+One :class:`~repro.service.router.ShardRouter` routes requests and
+label-routed updates to the shards, keeps the fleet-level row cache and
+merges :class:`FleetReport`\\ s, behind two transports:
+:class:`ShardedEngine` calls one in-process engine per shard, and
+:class:`ProcessShardFleet` runs one *worker process per shard* under a
+supervisor — health checks, bounded-backoff restarts, a per-shard
+write-ahead log replayed on recovery, and degraded serving (healthy shards
+keep answering while a dead shard raises
+:class:`~repro.exceptions.ShardUnavailableError`), with :class:`FaultSpec`
+scripting deterministic crashes for failure-injection tests.
+``python -m repro.cli fit`` / ``serve`` / ``serve-batch`` / ``shard-fit``
+are the command-line fronts.
 """
 
 from repro.service.engine import EngineReport, ServingEngine, UpdateReport

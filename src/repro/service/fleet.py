@@ -4,7 +4,10 @@ The in-process :class:`~repro.service.sharding.ShardedEngine` shares one
 fate with its shards: a segfault, a poisoned update or a wedged solve in
 any shard takes the whole tier down. This module moves each shard into its
 **own worker process** and puts a supervisor in front, so the failure
-domain shrinks from "the fleet" to "one shard":
+domain shrinks from "the fleet" to "one shard". Routing, the global index
+space and the row cache belong to the shared
+:class:`~repro.service.router.ShardRouter`; this module holds only what
+is process-specific:
 
 * :class:`ProcessShardFleet` runs one worker per shard over a
   ``multiprocessing`` pipe (stdlib only — no new dependencies). Each
@@ -65,15 +68,10 @@ import os
 import signal
 import threading
 import time
-from collections import OrderedDict
-
-import numpy as np
 
 import repro.exceptions as _exceptions
 from repro.core.artifacts import peek_artifact
-from repro.core.base import Recommendation
 from repro.exceptions import (
-    ArtifactError,
     ConfigError,
     ReproError,
     ShardUnavailableError,
@@ -81,30 +79,21 @@ from repro.exceptions import (
     UnknownUserError,
 )
 from repro.service.faults import FaultSpec
-from repro.service.serving import _label_array, rows_from_ranked_arrays
+from repro.service.router import FleetReport, FleetUpdateReport, ShardRouter
 from repro.service.sharding import (
-    EDGE_CUT_HINT,
-    FleetReport,
-    FleetUpdateReport,
     ShardPlan,
     _PLAN_FILENAME,
+    _load_directory_plan,
     _shard_artifact_name,
     validate_shard_events,
 )
-from repro.utils.timer import Timer
-from repro.utils.validation import (
-    as_exclude_array,
-    as_index_array,
-    check_non_negative_int,
-    check_positive_int,
-    is_index,
-)
+from repro.utils.validation import check_non_negative_int, check_positive_int
 
 __all__ = ["ProcessShardFleet"]
 
 #: RPC methods that count as *serving* requests for FaultSpec triggers
 #: (pings and supervision traffic must never perturb a scripted failure).
-_SERVING_METHODS = frozenset({"recommend", "recommend_many", "serve_cohort"})
+_SERVING_METHODS = frozenset({"recommend_many", "serve_cohort"})
 
 #: Sentinel returned by the non-retryable request path when the worker
 #: crashed mid-apply and the batch was recovered through WAL replay — the
@@ -187,8 +176,6 @@ def _worker_main(conn, shard: int, artifact_path: str,
     conn.send(("ok", {
         "type": "hello",
         "pid": os.getpid(),
-        "n_users": int(dataset.n_users),
-        "n_items": int(dataset.n_items),
         "n_ratings": int(dataset.n_ratings),
         "user_labels": list(dataset.user_labels),
         "item_labels": list(dataset.item_labels),
@@ -229,13 +216,6 @@ def _worker_handle(engine, method: str, payload: dict,
     """Dispatch one RPC against the worker's engine."""
     if method == "ping":
         return {"pid": os.getpid(), "model_version": engine.model_version}
-    if method == "recommend":
-        ranked = engine.recommend(
-            payload["user"], k=payload["k"],
-            exclude_rated=payload["exclude_rated"],
-            exclude=payload["exclude"],
-        )
-        return [(int(r.item), r.label, float(r.score)) for r in ranked]
     if method == "recommend_many":
         ranked_lists = engine.recommend_many(
             payload["users"], k=payload["k"],
@@ -271,8 +251,6 @@ def _worker_handle(engine, method: str, payload: dict,
             "new_user_labels": list(dataset.user_labels[payload["known_users"]:]),
             "new_item_labels": list(dataset.item_labels[payload["known_items"]:]),
             "model_version": engine.model_version,
-            "n_users": int(dataset.n_users),
-            "n_items": int(dataset.n_items),
             "n_ratings": int(dataset.n_ratings),
         }
     if method == "save":
@@ -298,10 +276,11 @@ class _ShardWorker:
     """Supervisor-side handle for one shard's worker process.
 
     ``user_labels`` / ``item_labels`` mirror the worker's dataset label
-    lists (hello + every absorbed apply response); the mirror is what
-    keeps WAL replay idempotent at the routing layer — labels a replayed
-    batch re-announces land below the fleet's known count and register
-    nothing twice.
+    lists (hello + every absorbed apply response), change only under both
+    ``worker.lock`` and ``_routing_lock``, and are the shard's labels as
+    the router sees them; replayed labels land below the router's known
+    count, so WAL replay registers nothing twice. ``model_version`` feeds
+    the row cache's version gate and is guarded by its lock.
     """
 
     def __init__(self, shard: int, artifact_path: str,
@@ -317,9 +296,7 @@ class _ShardWorker:
         self.restarts = 0
         self.replayed_batches = 0
         self.request_failures = 0
-        self.model_version = 0  # guarded-by: worker.lock
-        self.n_users = 0
-        self.n_items = 0
+        self.model_version = 0  # guarded-by: router._lock
         self.n_ratings = 0
         self.user_labels: list = []  # guarded-by: worker.lock
         self.item_labels: list = []  # guarded-by: worker.lock
@@ -339,15 +316,16 @@ class _ShardWorker:
         self.last_restart_at = 0.0
 
 
-class ProcessShardFleet:
+class ProcessShardFleet(ShardRouter):
     """A supervised multi-process shard fleet with WAL-backed updates.
 
-    The serving surface mirrors :class:`~repro.service.sharding.ShardedEngine`
-    — ``recommend`` / ``recommend_many`` / ``serve_cohort`` / ``warm`` /
-    ``apply_updates`` / ``save`` / ``stats`` / ``health`` — with identical
-    routing semantics (component union-find or halo replica routing,
-    global index space, fleet-level LRU row cache), but each shard lives
-    in its own worker process restarted on failure (module docstring).
+    The process transport of :class:`~repro.service.router.ShardRouter`:
+    the same serving surface as
+    :class:`~repro.service.sharding.ShardedEngine` — ``recommend`` /
+    ``recommend_many`` / ``serve_cohort`` / ``warm`` / ``apply_updates`` /
+    ``save`` / ``stats`` / ``health`` — and the same router (routing, global
+    index space, fleet-level LRU row cache), but each shard lives in its
+    own worker process restarted on failure (module docstring).
 
     Parameters
     ----------
@@ -419,7 +397,6 @@ class ProcessShardFleet:
                     or value <= 0:
                 raise ConfigError(f"{name} must be a positive number; "
                                   f"got {value!r}")
-        self.plan = plan
         self.request_timeout_s = float(request_timeout_s)
         self.boot_timeout_s = float(boot_timeout_s)
         self.max_restart_attempts = check_positive_int(
@@ -428,11 +405,9 @@ class ProcessShardFleet:
         self.max_request_retries = check_non_negative_int(
             max_request_retries, "max_request_retries"
         )
+        super().__init__(plan, result_cache_size)
         self.backoff_base_s = float(backoff_base_s)
         self.backoff_max_s = float(backoff_max_s)
-        self.result_cache_size = check_non_negative_int(
-            result_cache_size, "result_cache_size"
-        )
         self._engine_kwargs = dict(engine_kwargs or {})
         self._faults: dict[int, FaultSpec] = {}
         for shard, spec in (faults or {}).items():
@@ -458,18 +433,11 @@ class ProcessShardFleet:
         os.makedirs(self.wal_dir, exist_ok=True)
         self._ctx = multiprocessing.get_context(start_method)
         self._closed = False
-        self._rows: OrderedDict[tuple, list] = OrderedDict()  # guarded-by: fleet._lock
-        self.row_cache_hits = 0  # guarded-by: fleet._lock
-        self.row_cache_misses = 0  # guarded-by: fleet._lock
-        self._lock = threading.RLock()       # row cache + counters
-        self._update_lock = threading.RLock()  # serialises updates/saves
-        # Innermost lock guarding the fleet routing tables (_user_shard,
-        # _user_global, label dicts, …). Mutation happens under it in
-        # _absorb_new_labels — reachable with only a *worker* lock held,
-        # via read-triggered restarts replaying a WAL — and readers take
-        # it to snapshot a consistent view. Ordering: _update_lock →
-        # worker.lock → _routing_lock; never acquire outward while held.
-        self._routing_lock = threading.Lock()
+        # Serialises updates and saves. Ordering: _update_lock →
+        # worker.lock → _routing_lock → _lock; the router's tables are
+        # absorbed with only a worker lock held when a read-triggered
+        # restart replays a WAL.
+        self._update_lock = threading.RLock()
 
         self._workers = [_ShardWorker(shard, artifact_paths[shard],
                                       checkpoint_seq=checkpoint_seqs[shard])
@@ -503,13 +471,7 @@ class ProcessShardFleet:
         shard; the WAL directory defaults to ``<path>/wal`` so crash
         recovery state lives next to the artifacts it replays onto.
         """
-        plan_path = os.path.join(path, _PLAN_FILENAME)
-        if not os.path.exists(plan_path):
-            raise ArtifactError(
-                f"{path!r} is not a sharded-artifact directory "
-                f"(no {_PLAN_FILENAME})"
-            )
-        plan = ShardPlan.load(plan_path)
+        plan = _load_directory_plan(path)
         artifact_paths = [os.path.join(path, _shard_artifact_name(shard))
                           for shard in range(plan.n_shards)]
         if wal_dir is None:
@@ -543,12 +505,12 @@ class ProcessShardFleet:
         worker.conn = parent_conn
         worker.incarnation += 1
         hello = self._recv_reply(worker, self.boot_timeout_s)
-        worker.model_version = hello["model_version"]
-        worker.n_users = hello["n_users"]
-        worker.n_items = hello["n_items"]
+        with self._lock:
+            worker.model_version = hello["model_version"]
         worker.n_ratings = hello["n_ratings"]
-        worker.user_labels = list(hello["user_labels"])
-        worker.item_labels = list(hello["item_labels"])
+        with self._routing_lock:
+            worker.user_labels = list(hello["user_labels"])
+            worker.item_labels = list(hello["item_labels"])
         worker.last_replay_result = None
 
     def _cleanup_locked(self, worker: _ShardWorker) -> None:
@@ -868,511 +830,37 @@ class ProcessShardFleet:
         worker.skipped_replay_batches += skipped
         return replayed
 
-    # -- routing state ---------------------------------------------------------
+    # -- transport hooks -------------------------------------------------------
 
-    def _build_routing(self) -> None:
-        """Mirror of ``ShardedEngine.__init__``'s routing tables, built from
-        worker hellos instead of in-process engine datasets."""
-        plan = self.plan
-        for shard, worker in enumerate(self._workers):
-            base_users = plan.shard_users(shard).size
-            base_items = plan.shard_items(shard).size
-            if worker.n_users < base_users or worker.n_items < base_items:
-                raise ConfigError(
-                    f"shard {shard} artifact serves {worker.n_users} users × "
-                    f"{worker.n_items} items; the plan assigns it "
-                    f"{base_users} × {base_items} (owned + ghosts) — "
-                    "artifact/plan mismatch"
-                )
-        self._user_shard = plan.user_shard.copy()  # guarded-by: _routing_lock
-        self._user_local = plan.user_local.copy()  # guarded-by: _routing_lock
-        self._item_shard = plan.item_shard.copy()  # guarded-by: _routing_lock
-        self._item_local = plan.item_local.copy()  # guarded-by: _routing_lock
-        self._user_global = [plan.shard_users(s) for s in range(plan.n_shards)]  # guarded-by: _routing_lock
-        self._item_global = [plan.shard_items(s) for s in range(plan.n_shards)]  # guarded-by: _routing_lock
-        self._item_labels = np.empty(plan.n_items, dtype=object)  # guarded-by: _routing_lock
-        for shard, worker in enumerate(self._workers):
-            base = self._item_global[shard]
-            self._item_labels[base] = _label_array(
-                worker.item_labels[:base.size]
-            )
-        # guarded-by: _routing_lock
-        self._item_local_in_shard: list[np.ndarray] | None = (
-            [np.empty(0, dtype=np.int64)] * plan.n_shards
-            if plan.has_halos else None
-        )
-        self._user_shard_by_label: dict = {}  # guarded-by: _routing_lock
-        self._item_shard_by_label: dict = {}  # guarded-by: _routing_lock
-        for shard in range(plan.n_shards):
-            self._absorb_new_labels(shard)
-        for shard, worker in enumerate(self._workers):
-            for axis, labels, lookup, ghost_count, owned_count in (
-                    ("user", worker.user_labels, self._user_shard_by_label,
-                     plan.ghost_users_of_shard(shard).size,
-                     plan.users_of_shard(shard).size),
-                    ("item", worker.item_labels, self._item_shard_by_label,
-                     plan.ghost_items_of_shard(shard).size,
-                     plan.items_of_shard(shard).size)):
-                for position, label in enumerate(labels):
-                    if owned_count <= position < owned_count + ghost_count:
-                        continue  # ghost replica; verified below
-                    owner = lookup.setdefault(label, shard)
-                    if owner != shard:
-                        raise ConfigError(
-                            f"{axis} label {label!r} appears in shards "
-                            f"{owner} and {shard}; shard datasets must be "
-                            "disjoint"
-                        )
-        if plan.has_halos:
-            for shard, worker in enumerate(self._workers):
-                for axis, labels, lookup, ghost_count, owned_count in (
-                        ("user", worker.user_labels,
-                         self._user_shard_by_label,
-                         plan.ghost_users_of_shard(shard).size,
-                         plan.users_of_shard(shard).size),
-                        ("item", worker.item_labels,
-                         self._item_shard_by_label,
-                         plan.ghost_items_of_shard(shard).size,
-                         plan.items_of_shard(shard).size)):
-                    for label in labels[owned_count:owned_count + ghost_count]:
-                        owner = lookup.get(label)
-                        if owner is None or owner == shard:
-                            raise ConfigError(
-                                f"ghost {axis} label {label!r} in shard "
-                                f"{shard} is not owned by any other shard — "
-                                "plan/artifact mismatch"
-                            )
-            for shard in range(plan.n_shards):
-                self._rebuild_item_map_locked(shard)
-        # Halo routing needs "which shards hold this label at all" (owned
-        # or ghost); the in-process tier probes each engine's dataset, the
-        # fleet keeps explicit holder sets fed by hellos + absorbed labels.
-        self._user_label_shards: dict = {}  # guarded-by: _routing_lock
-        self._item_label_shards: dict = {}  # guarded-by: _routing_lock
-        for shard, worker in enumerate(self._workers):
-            for label in worker.user_labels:
-                self._user_label_shards.setdefault(label, set()).add(shard)
-            for label in worker.item_labels:
-                self._item_label_shards.setdefault(label, set()).add(shard)
-
-    def _rebuild_item_map_locked(self, shard: int) -> None:
-        lookup = np.full(self.n_items, -1, dtype=np.int64)
-        lookup[self._item_global[shard]] = np.arange(
-            self._item_global[shard].size, dtype=np.int64
-        )
-        self._item_local_in_shard[shard] = lookup
-
-    def _absorb_new_labels(self, shard: int) -> None:
-        """Append a shard's post-known users/items to the global space.
-
-        The source of truth is the worker's label *mirror*; anything
-        beyond the fleet's per-shard translation arrays is new. During
-        WAL replay the mirror re-grows along the exact same path as the
-        original incarnation, so re-announced labels sit below the known
-        count and this is a no-op for them — replay never double-registers.
-        """
-        with self._routing_lock:
-            self._absorb_new_labels_routing_locked(shard)
-
-    def _absorb_new_labels_routing_locked(self, shard: int) -> None:
+    def _shard_labels_locked(self, shard: int) -> tuple:
         worker = self._workers[shard]
-        known = self._user_global[shard].size
-        if len(worker.user_labels) > known:
-            count = len(worker.user_labels) - known
-            fresh = np.arange(self.n_users, self.n_users + count,
-                              dtype=np.int64)
-            self._user_global[shard] = np.concatenate(
-                [self._user_global[shard], fresh]
-            )
-            self._user_shard = np.concatenate(
-                [self._user_shard, np.full(count, shard, dtype=np.int64)]
-            )
-            self._user_local = np.concatenate(
-                [self._user_local,
-                 np.arange(known, known + count, dtype=np.int64)]
-            )
-            for label in worker.user_labels[known:]:
-                self._user_shard_by_label[label] = shard
-                if hasattr(self, "_user_label_shards"):
-                    self._user_label_shards.setdefault(label, set()).add(shard)
-        known = self._item_global[shard].size
-        if len(worker.item_labels) > known:
-            count = len(worker.item_labels) - known
-            fresh = np.arange(self.n_items, self.n_items + count,
-                              dtype=np.int64)
-            self._item_global[shard] = np.concatenate(
-                [self._item_global[shard], fresh]
-            )
-            self._item_shard = np.concatenate(
-                [self._item_shard, np.full(count, shard, dtype=np.int64)]
-            )
-            self._item_local = np.concatenate(
-                [self._item_local,
-                 np.arange(known, known + count, dtype=np.int64)]
-            )
-            self._item_labels = np.concatenate(
-                [self._item_labels,
-                 _label_array(worker.item_labels[known:])]
-            )
-            for label in worker.item_labels[known:]:
-                self._item_shard_by_label[label] = shard
-                if hasattr(self, "_item_label_shards"):
-                    self._item_label_shards.setdefault(label, set()).add(shard)
-            if self._item_local_in_shard is not None:
-                for other in range(self.n_shards):
-                    self._rebuild_item_map_locked(other)
+        return worker.user_labels, worker.item_labels
 
-    def _absorb_apply_response_locked(self, worker: _ShardWorker,
-                               response: dict) -> None:
-        """Fold one apply reply into the mirror + fleet routing state."""
-        worker.user_labels.extend(response["new_user_labels"])
-        worker.item_labels.extend(response["new_item_labels"])
-        worker.model_version = response["model_version"]
-        worker.n_users = response["n_users"]
-        worker.n_items = response["n_items"]
-        worker.n_ratings = response["n_ratings"]
-        self._absorb_new_labels(worker.shard)
+    def _shard_version_locked(self, shard: int) -> int:
+        return self._workers[shard].model_version
 
-    # -- shape -----------------------------------------------------------------
+    def _shard_loads(self) -> list:
+        return [worker.n_ratings for worker in self._workers]
 
-    @property
-    def n_shards(self) -> int:
-        return len(self._workers)
+    def _recommend_shard(self, shard, users, k, exclude_rated, excludes):
+        return self._request(shard, "recommend_many", {
+            "users": users, "k": k, "exclude_rated": exclude_rated,
+            "excludes": excludes})
 
-    @property
-    def n_users(self) -> int:
-        return self._user_shard.size
+    def _serve_shard(self, shard, users, k, batch_size, exclude_rated):
+        result = self._request(shard, "serve_cohort", {
+            "users": users, "k": k, "batch_size": batch_size,
+            "exclude_rated": exclude_rated})
+        return result["report"], result["items"], result["scores"]
 
-    @property
-    def n_items(self) -> int:
-        return self._item_shard.size
+    def _validate_shard(self, shard, events, duplicates) -> None:
+        # Worker-side and mutating nothing: a bad batch (or a down shard,
+        # which raises ShardUnavailableError) rejects with the fleet
+        # untouched and nothing logged.
+        self._request(shard, "validate_events",
+                      {"events": events, "duplicates": duplicates})
 
-    @property
-    def restarts(self) -> int:
-        """Lifetime successful worker restarts across the fleet."""
-        return sum(worker.restarts for worker in self._workers)
-
-    @property
-    def replayed_batches(self) -> int:
-        """Lifetime WAL batches replayed into restarted workers."""
-        return sum(worker.replayed_batches for worker in self._workers)
-
-    @property
-    def skipped_replay_batches(self) -> int:
-        """Lifetime WAL batches skipped at replay because the boot
-        checkpoint already contained them (``extra.wal_seq`` floor)."""
-        return sum(worker.skipped_replay_batches for worker in self._workers)
-
-    @property
-    def last_restart_s(self) -> float | None:
-        """Wall seconds of the fleet's most recent successful restart
-        (kill detection → replayed replacement), or ``None`` before any."""
-        latest = None
-        for worker in self._workers:
-            if worker.last_restart_s is None:
-                continue
-            if latest is None or worker.last_restart_at > latest.last_restart_at:
-                latest = worker
-        return None if latest is None else latest.last_restart_s
-
-    def shard_of_user(self, user: int) -> int:
-        self._check_user(user)
-        return int(self._user_shard[user])
-
-    def worker_pid(self, shard: int) -> int | None:
-        """The shard worker's current OS pid (for tests/benchmarks that
-        inject real signals), or ``None`` when the shard is down."""
-        worker = self._workers[self.plan._check_shard(shard)]
-        process = worker.process
-        return process.pid if process is not None and process.is_alive() \
-            else None
-
-    def _check_user(self, user: int) -> None:
-        if not is_index(user, self.n_users):
-            raise UnknownUserError(user)
-
-    def _translate_exclusions_locked(self, shard: int,
-                              banned: np.ndarray) -> np.ndarray:
-        in_range = banned[(banned >= 0) & (banned < self.n_items)]
-        if self._item_local_in_shard is not None:
-            local = self._item_local_in_shard[shard][in_range]
-            return local[local >= 0]
-        mine = in_range[self._item_shard[in_range] == shard]
-        return self._item_local[mine]
-
-    # -- serving ---------------------------------------------------------------
-
-    def recommend(self, user: int, k: int = 10, exclude_rated: bool = True,
-                  exclude=None) -> list[Recommendation]:
-        """Top-``k`` for one global user, answered by the owning shard's
-        worker; raises :class:`~repro.exceptions.ShardUnavailableError`
-        when that shard is down (degraded mode)."""
-        self._check_user(user)
-        k = check_positive_int(k, "k")
-        banned = as_exclude_array(exclude)
-        with self._routing_lock:
-            shard = int(self._user_shard[user])
-            local = int(self._user_local[user])
-            if banned.size:
-                banned = self._translate_exclusions_locked(shard, banned)
-        ranked = self._request(shard, "recommend", {
-            "user": local,
-            "k": k,
-            "exclude_rated": bool(exclude_rated),
-            "exclude": banned,
-        })
-        # Read *after* the RPC: an apply absorbed before our request took
-        # the worker lock may have grown the shard's item space, and the
-        # reply can reference those items. Growth is append-only, so the
-        # current array is always a superset of what the worker knew.
-        lookup = self._item_global[shard]
-        return [Recommendation(int(lookup[item]), label, float(score))
-                for item, label, score in ranked]
-
-    def recommend_many(self, users, k: int = 10, exclude_rated: bool = True,
-                       excludes=None) -> list:
-        """Batch of independent requests, routed per shard worker.
-
-        Degraded mode is per-position: a request owned by a down shard
-        yields a :class:`~repro.exceptions.ShardUnavailableError`
-        *instance* at its position (the micro-batching front end turns it
-        into that request's error) while every healthy shard's positions
-        carry normal ranked lists.
-        """
-        users = list(users)
-        if excludes is None:
-            excludes = [None] * len(users)
-        else:
-            excludes = list(excludes)
-            if len(excludes) != len(users):
-                raise ConfigError(
-                    f"excludes has {len(excludes)} entries for "
-                    f"{len(users)} users"
-                )
-        k = check_positive_int(k, "k")
-        out: list = [None] * len(users)
-        by_shard: dict[int, tuple[list, list, list]] = {}
-        with self._routing_lock:
-            for position, (user, exclude) in enumerate(zip(users, excludes)):
-                self._check_user(user)
-                shard = int(self._user_shard[user])
-                banned = as_exclude_array(exclude)
-                if banned.size:
-                    banned = self._translate_exclusions_locked(shard, banned)
-                positions, local_users, local_bans = by_shard.setdefault(
-                    shard, ([], [], [])
-                )
-                positions.append(position)
-                local_users.append(int(self._user_local[user]))
-                local_bans.append(banned)
-        for shard, (positions, local_users, local_bans) in by_shard.items():
-            try:
-                ranked_lists = self._request(shard, "recommend_many", {
-                    "users": local_users,
-                    "k": k,
-                    "exclude_rated": bool(exclude_rated),
-                    "excludes": local_bans,
-                })
-            except ShardUnavailableError as exc:
-                for position in positions:
-                    out[position] = exc
-                continue
-            lookup = self._item_global[shard]
-            for position, ranked in zip(positions, ranked_lists):
-                out[position] = [
-                    Recommendation(int(lookup[item]), label, float(score))
-                    for item, label, score in ranked
-                ]
-        return out
-
-    def serve_cohort(self, users, k: int = 10, batch_size: int = 256,
-                     exclude_rated: bool = True) -> FleetReport:
-        """Serve a cohort across the worker fleet (row cache → shard RPCs).
-
-        Identical shape and routing to
-        :meth:`ShardedEngine.serve_cohort`; additionally stamps the
-        report with the fleet's supervision counters and the per-shard
-        health it was served under. A cohort touching a down shard raises
-        :class:`~repro.exceptions.ShardUnavailableError` — trim the
-        cohort to healthy users (or ``restart_shard``) to proceed
-        degraded.
-        """
-        k = check_positive_int(k, "k")
-        exclude_rated = bool(exclude_rated)
-        users = as_index_array(users, self.n_users, "users")
-        report = FleetReport(n_users=int(users.size), k=k,
-                             n_shards=self.n_shards)
-        with Timer() as timer:
-            per_position: list = [None] * users.size
-            if self.result_cache_size:
-                missing: list[int] = []
-                with self._lock:
-                    for position, user in enumerate(users):
-                        key = (int(user), k, exclude_rated)
-                        entry = self._rows.get(key)
-                        if entry is None:
-                            missing.append(position)
-                        else:
-                            self._rows.move_to_end(key)
-                            per_position[position] = entry
-                    report.row_cache_hits = users.size - len(missing)
-                    report.row_cache_misses = len(missing)
-                    self.row_cache_hits += report.row_cache_hits
-                    self.row_cache_misses += report.row_cache_misses
-            else:
-                missing = list(range(users.size))
-            if missing:
-                versions = [worker.model_version for worker in self._workers]
-                positions = np.asarray(missing, dtype=np.int64)
-                miss_users = users[positions]
-                items = np.full((positions.size, k), -1, dtype=np.int64)
-                scores = np.full((positions.size, k), -np.inf)
-                with self._routing_lock:
-                    shard_of = self._user_shard[miss_users]
-                    locals_of_shard = {
-                        int(shard): self._user_local[
-                            miss_users[np.flatnonzero(shard_of == shard)]
-                        ]
-                        for shard in np.unique(shard_of)
-                    }
-                for shard in np.unique(shard_of):
-                    shard = int(shard)
-                    rows_of_shard = np.flatnonzero(shard_of == shard)
-                    result = self._request(shard, "serve_cohort", {
-                        "users": locals_of_shard[shard],
-                        "k": k,
-                        "batch_size": batch_size,
-                        "exclude_rated": exclude_rated,
-                    })
-                    lookup = self._item_global[shard]
-                    shard_items = result["items"]
-                    valid = shard_items >= 0
-                    items[rows_of_shard] = np.where(
-                        valid, lookup[np.where(valid, shard_items, 0)], -1
-                    )
-                    scores[rows_of_shard] = result["scores"]
-                    report.per_shard.append((shard, result["report"]))
-                # Under the routing lock no absorb is mid-flight, so this
-                # label array covers every global id the (post-RPC,
-                # append-only) lookups above could have produced.
-                with self._routing_lock:
-                    item_labels = self._item_labels
-                flat = rows_from_ranked_arrays(
-                    miss_users, items, scores, item_labels
-                )
-                bounds = np.concatenate(
-                    [[0], np.cumsum((items >= 0).sum(axis=1))]
-                )
-                for index, position in enumerate(missing):
-                    per_position[position] = flat[bounds[index]:
-                                                  bounds[index + 1]]
-                if self.result_cache_size:
-                    with self._lock:
-                        # Same version gate as the in-process tier: a shard
-                        # that absorbed an update (or restarted) while the
-                        # RPCs were in flight must not have pre-update rows
-                        # re-cached behind its eviction.
-                        for index, position in enumerate(missing):
-                            user = int(users[position])
-                            shard = int(self._user_shard[user])
-                            worker = self._workers[shard]
-                            if worker.model_version != versions[shard]:
-                                continue
-                            self._rows[(user, k, exclude_rated)] = (
-                                per_position[position]
-                            )
-                        while len(self._rows) > self.result_cache_size:
-                            self._rows.popitem(last=False)
-            rows: list = []
-            for user_rows in per_position:
-                if user_rows:
-                    rows.extend(user_rows)
-            report.rows = rows
-        report.seconds = timer.elapsed
-        report.restarts = self.restarts
-        report.replayed_batches = self.replayed_batches
-        report.skipped_replay_batches = self.skipped_replay_batches
-        report.last_restart_s = self.last_restart_s
-        report.shard_health = self.health()["shards"]
-        return report
-
-    def warm(self, users=None, k: int = 10,
-             batch_size: int = 256) -> FleetReport:
-        """Pre-fill the row cache and every worker's caches."""
-        if users is None:
-            users = np.arange(self.n_users, dtype=np.int64)
-        return self.serve_cohort(users, k=k, batch_size=batch_size)
-
-    # -- incremental updates ---------------------------------------------------
-
-    def apply_updates(self, events, duplicates: str | None = None,
-                      ) -> FleetUpdateReport:
-        """Route, WAL-log and dispatch an update batch across the workers.
-
-        Routing (component union-find / halo replica fan-out) is
-        byte-identical to :meth:`ShardedEngine.apply_updates`. The fleet
-        then, per touched shard: validates the slice *worker-side*
-        (mutating nothing — a bad batch rejects with the fleet untouched
-        and nothing logged), appends it to the shard's WAL (fsync'd), and
-        dispatches it. A worker crashing mid-apply is restarted and
-        recovers the batch from the WAL — ``replayed_batches`` on the
-        report says it happened; the merged reports are identical either
-        way. All touched shards must be *up* when the batch starts; a
-        shard going down mid-batch leaves its slice durably in its WAL,
-        applied by the next successful ``restart_shard``.
-        """
-        events = list(events)
-        report = FleetUpdateReport(n_events=len(events))
-        if not events:
-            return report
-        with Timer() as timer:
-            with self._update_lock:
-                # Routing reads the label dicts a read-triggered WAL
-                # replay may be growing concurrently (it holds only a
-                # worker lock, not _update_lock).
-                with self._routing_lock:
-                    if self.plan.has_halos:
-                        routed, stale = self._route_events_halo_locked(events)
-                    else:
-                        routed = self._route_events_component_locked(events)
-                        stale = 0
-                touched = [shard for shard in range(self.n_shards)
-                           if routed[shard]]
-                for shard in touched:
-                    worker = self._workers[shard]
-                    if worker.state != "up":
-                        raise ShardUnavailableError(
-                            shard, worker.down_reason or "worker is down"
-                        )
-                for shard in touched:
-                    self._request(shard, "validate_events", {
-                        "events": routed[shard],
-                        "duplicates": duplicates,
-                    })
-                replayed_before = self.replayed_batches
-                for shard in touched:
-                    update = self._dispatch_apply(shard, routed[shard],
-                                                  duplicates)
-                    report.per_shard.append((shard, update))
-                report.replayed_batches = (self.replayed_batches
-                                           - replayed_before)
-                # One eviction pass after all touched shards applied (all
-                # worker versions already advanced, so serve_cohort's
-                # version-gated insert cannot re-admit stale rows).
-                report.fleet_rows_evicted = self._evict_shard_rows(touched)
-                if stale:
-                    report.stale_ghost_events = stale
-                    report.hint = (
-                        f"{stale} event(s) could not reach every halo "
-                        "replica of their endpoints; the untouched ghost "
-                        "copies drift within the documented bound — "
-                        f"{EDGE_CUT_HINT}"
-                    )
-        report.seconds = timer.elapsed
-        return report
-
-    def _dispatch_apply(self, shard: int, shard_events,
-                        duplicates: str | None):
+    def _apply_shard(self, shard: int, shard_events, duplicates: str | None):
         """WAL-append then dispatch one shard's slice; recover via replay.
 
         The append happens *inside* ``worker.lock``: a batch may only
@@ -1409,150 +897,110 @@ class ProcessShardFleet:
                 self._absorb_apply_response_locked(worker, response)
         return response["report"]
 
-    def _route_events_component_locked(self, events) -> list[list]:
-        """Union-find batch routing — the in-process tier's policy verbatim
-        (see :meth:`ShardedEngine.apply_updates`), with shard load read
-        from the worker handles."""
-        parent: dict = {}
-
-        def find(key):
-            root = key
-            while parent.get(root, root) != root:
-                root = parent[root]
-            while parent.get(key, key) != key:  # path compression
-                parent[key], key = root, parent[key]
-            return root
-
-        for event in events:
-            user_root = find(("u", event[0]))
-            item_root = find(("i", event[1]))
-            if user_root != item_root:
-                parent[item_root] = user_root
-        group_shard: dict = {}
-        group_label: dict = {}
-        for kind, position, lookup in (
-                ("u", 0, self._user_shard_by_label),
-                ("i", 1, self._item_shard_by_label)):
-            for event in events:
-                label = event[position]
-                known = lookup.get(label)
-                if known is None:
-                    continue
-                root = find((kind, label))
-                owner = group_shard.setdefault(root, known)
-                group_label.setdefault(root, label)
-                if owner != known:
-                    raise ConfigError(
-                        self._cross_shard_message_locked(
-                            events, group_label[root], owner, label, known
-                        )
-                    )
-        routed: list[list] = [[] for _ in range(self.n_shards)]
-        loads = [worker.n_ratings for worker in self._workers]
-        for event in events:
-            root = find(("u", event[0]))
-            shard = group_shard.get(root)
-            if shard is None:  # every label in the group is brand-new
-                shard = int(np.argmin(loads))
-                group_shard[root] = shard
-            loads[shard] += 1
-            routed[shard].append(event)
-        return routed
-
-    def _cross_shard_message_locked(self, events, label_a, shard_a, label_b,
-                             shard_b) -> str:
-        for user_label, item_label, _ in events:
-            user_owner = self._user_shard_by_label.get(user_label)
-            item_owner = self._item_shard_by_label.get(item_label)
-            if (user_owner is not None and item_owner is not None
-                    and user_owner != item_owner):
-                return (
-                    f"update event (user={user_label!r}, "
-                    f"item={item_label!r}) is a cross-shard edge: the user "
-                    f"lives in shard {user_owner}, the item in shard "
-                    f"{item_owner}; a component-sharded tier cannot apply "
-                    f"it — {EDGE_CUT_HINT}"
-                )
-        return (
-            f"update batch links {label_a!r} (shard {shard_a}) with "
-            f"{label_b!r} (shard {shard_b}) through new labels; "
-            "cross-shard edges cannot be applied to a component-sharded "
-            f"tier — {EDGE_CUT_HINT}"
-        )
-
-    def _route_events_halo_locked(self, events) -> tuple[list[list], int]:
-        """Per-event replica routing for edge-cut plans — the in-process
-        tier's policy verbatim, with label-holder sets standing in for
-        probing each shard dataset."""
-        routed: list[list] = [[] for _ in range(self.n_shards)]
-        loads = [worker.n_ratings for worker in self._workers]
-        pending_users: dict = {}
-        pending_items: dict = {}
-        stale = 0
-        for event in events:
-            user_label, item_label = event[0], event[1]
-            user_shards = self._shards_with_locked(user_label, "user", pending_users)
-            item_shards = self._shards_with_locked(item_label, "item", pending_items)
-            if user_shards and item_shards:
-                both = sorted(user_shards & item_shards)
-                if not both:
-                    user_owner = self._user_shard_by_label.get(
-                        user_label, pending_users.get(user_label))
-                    item_owner = self._item_shard_by_label.get(
-                        item_label, pending_items.get(item_label))
-                    raise ConfigError(
-                        f"update event (user={user_label!r}, "
-                        f"item={item_label!r}) joins shard {user_owner} to "
-                        f"shard {item_owner} but no shard holds both "
-                        "endpoints — the edge exceeds the plan's "
-                        f"{self.plan.halo_hops}-hop halo; {EDGE_CUT_HINT}"
-                    )
-                for shard in both:
-                    routed[shard].append(event)
-                    loads[shard] += 1
-                if (user_shards | item_shards) - set(both):
-                    stale += 1
-            elif user_shards or item_shards:
-                if user_shards:
-                    owner = self._user_shard_by_label.get(
-                        user_label, pending_users.get(user_label))
-                    pending_items[item_label] = owner
-                    replicas = user_shards
-                else:
-                    owner = self._item_shard_by_label.get(
-                        item_label, pending_items.get(item_label))
-                    pending_users[user_label] = owner
-                    replicas = item_shards
-                routed[owner].append(event)
-                loads[owner] += 1
-                if replicas - {owner}:
-                    stale += 1
-            else:
-                shard = int(np.argmin(loads))
-                routed[shard].append(event)
-                loads[shard] += 1
-                pending_users[user_label] = shard
-                pending_items[item_label] = shard
-        return routed, stale
-
-    def _shards_with_locked(self, label, axis: str, pending: dict) -> set:
-        lookup = (self._user_label_shards if axis == "user"
-                  else self._item_label_shards)
-        shards = set(lookup.get(label, ()))
-        if label in pending:
-            shards.add(pending[label])
-        return shards
-
-    def _evict_shard_rows(self, shards) -> int:
-        touched = set(int(s) for s in shards)
-        if not touched:
-            return 0
+    def _absorb_apply_response_locked(self, worker: _ShardWorker,
+                                      response: dict) -> None:
+        """Fold one apply reply into the label mirror and the router (a
+        replayed reply re-grows the mirror along the original path)."""
+        with self._routing_lock:
+            worker.user_labels.extend(response["new_user_labels"])
+            worker.item_labels.extend(response["new_item_labels"])
+            self._absorb_labels_locked(worker.shard)
         with self._lock:
-            stale = [key for key in self._rows
-                     if int(self._user_shard[key[0]]) in touched]
-            for key in stale:
-                del self._rows[key]
-            return len(stale)
+            worker.model_version = response["model_version"]
+        worker.n_ratings = response["n_ratings"]
+
+    # -- supervision counters --------------------------------------------------
+
+    @property
+    def restarts(self) -> int:
+        """Lifetime successful worker restarts across the fleet."""
+        return sum(worker.restarts for worker in self._workers)
+
+    @property
+    def replayed_batches(self) -> int:
+        """Lifetime WAL batches replayed into restarted workers."""
+        return sum(worker.replayed_batches for worker in self._workers)
+
+    @property
+    def skipped_replay_batches(self) -> int:
+        """Lifetime WAL batches skipped at replay because the boot
+        checkpoint already contained them (``extra.wal_seq`` floor)."""
+        return sum(worker.skipped_replay_batches for worker in self._workers)
+
+    @property
+    def last_restart_s(self) -> float | None:
+        """Wall seconds of the fleet's most recent successful restart
+        (kill detection → replayed replacement), or ``None`` before any."""
+        latest = None
+        for worker in self._workers:
+            if worker.last_restart_s is None:
+                continue
+            if latest is None or worker.last_restart_at > latest.last_restart_at:
+                latest = worker
+        return None if latest is None else latest.last_restart_s
+
+    def worker_pid(self, shard: int) -> int | None:
+        """The shard worker's current OS pid (for tests/benchmarks that
+        inject real signals), or ``None`` when the shard is down."""
+        worker = self._workers[self.plan._check_shard(shard)]
+        process = worker.process
+        return process.pid if process is not None and process.is_alive() \
+            else None
+
+    # -- serving ---------------------------------------------------------------
+
+    def recommend_many(self, users, k: int = 10, exclude_rated: bool = True,
+                       excludes=None) -> list:
+        """Batch of independent requests, routed per shard worker.
+
+        Degraded mode is per-position: a request owned by a down shard
+        yields a :class:`~repro.exceptions.ShardUnavailableError`
+        *instance* at its position (the micro-batching front end turns it
+        into that request's error) while every healthy shard's positions
+        carry normal ranked lists.
+        """
+        return self._recommend_many(users, k, exclude_rated, excludes)
+
+    def serve_cohort(self, users, k: int = 10, batch_size: int = 256,
+                     exclude_rated: bool = True) -> FleetReport:
+        """Serve a cohort across the worker fleet (row cache → shard RPCs).
+
+        The router's cohort path, plus the fleet's supervision counters
+        and the per-shard health the cohort was served under. A cohort
+        touching a down shard raises
+        :class:`~repro.exceptions.ShardUnavailableError` — trim the cohort
+        to healthy users (or ``restart_shard``) to proceed degraded.
+        """
+        report = super().serve_cohort(users, k=k, batch_size=batch_size,
+                                      exclude_rated=exclude_rated)
+        report.restarts = self.restarts
+        report.replayed_batches = self.replayed_batches
+        report.skipped_replay_batches = self.skipped_replay_batches
+        report.last_restart_s = self.last_restart_s
+        report.shard_health = self.health()["shards"]
+        return report
+
+    # -- incremental updates ---------------------------------------------------
+
+    def apply_updates(self, events, duplicates: str | None = None,
+                      ) -> FleetUpdateReport:
+        """Route, WAL-log and dispatch an update batch across the workers.
+
+        Routing is the router's. The fleet then, per touched shard:
+        validates the slice *worker-side*, appends it to the shard's WAL
+        (fsync'd), and dispatches it. A worker crashing mid-apply is
+        restarted and recovers the batch from the WAL —
+        ``replayed_batches`` on the report says it happened; the merged
+        reports are identical either way. All touched shards must be *up*
+        when the batch starts; a shard going down mid-batch leaves its
+        slice durably in its WAL, applied by the next successful
+        ``restart_shard``.
+        """
+        with self._update_lock:
+            replayed_before = self.replayed_batches
+            report = self._apply_updates(events, duplicates)
+            report.replayed_batches = self.replayed_batches - replayed_before
+        return report
 
     # -- persistence -----------------------------------------------------------
 
@@ -1600,10 +1048,7 @@ class ProcessShardFleet:
 
     def clear_caches(self) -> None:
         """Drop the fleet row cache and each live worker's cache layers."""
-        with self._lock:
-            self._rows.clear()
-            self.row_cache_hits = 0
-            self.row_cache_misses = 0
+        self._clear_rows()
         for shard in range(self.n_shards):
             try:
                 self._request(shard, "clear_caches", {})
@@ -1612,12 +1057,8 @@ class ProcessShardFleet:
 
     def invalidate_user(self, user: int) -> int:
         """Evict one global user's rows from the fleet row cache."""
-        self._check_user(user)
-        with self._lock:
-            stale = [key for key in self._rows if key[0] == int(user)]
-            for key in stale:
-                del self._rows[key]
-        return len(stale)
+        self._locate_user(user)
+        return self._evict_user_rows(int(user))
 
     def health(self, ping: bool = False) -> dict:
         """Fleet health: ``status`` plus one row per shard.
@@ -1637,9 +1078,11 @@ class ProcessShardFleet:
                     self._request(shard, "ping", {})
                 except ShardUnavailableError:
                     pass
+        with self._lock:
+            versions = [worker.model_version for worker in self._workers]
         status = "ok"
         shards = []
-        for worker in self._workers:
+        for worker, version in zip(self._workers, versions):
             state = worker.state
             # One read into a local: a concurrent _cleanup_locked may set
             # worker.process to None between checks, and the probe must
@@ -1651,7 +1094,7 @@ class ProcessShardFleet:
             entry = {
                 "shard": worker.shard,
                 "state": state,
-                "model_version": worker.model_version,
+                "model_version": version,
                 "restarts": worker.restarts,
                 "replayed_batches": worker.replayed_batches,
                 "skipped_replay_batches": worker.skipped_replay_batches,
@@ -1678,18 +1121,10 @@ class ProcessShardFleet:
 
     def stats(self) -> dict:
         """Fleet shape, row-cache and supervision counters + worker stats."""
-        with self._lock:
-            fleet = {
-                "n_shards": self.n_shards,
-                "n_users": self.n_users,
-                "n_items": self.n_items,
-                "row_entries": len(self._rows),
-                "row_hits": self.row_cache_hits,
-                "row_misses": self.row_cache_misses,
-                "restarts": self.restarts,
-                "replayed_batches": self.replayed_batches,
-                "skipped_replay_batches": self.skipped_replay_batches,
-            }
+        fleet = self._router_stats()
+        fleet.update(restarts=self.restarts,
+                     replayed_batches=self.replayed_batches,
+                     skipped_replay_batches=self.skipped_replay_batches)
         shards = []
         for shard in range(self.n_shards):
             try:

@@ -12,16 +12,16 @@ family:
   component nnz (the walk-solve cost measure), users/items re-indexed per
   shard with label-preserving maps, saved/loaded as a versioned ``.npz``;
 * :class:`ShardedEngine` owns one :class:`~repro.service.ServingEngine`
-  per shard and routes every request to the owning shard:
-  ``recommend(user)`` by the user's shard, ``serve_cohort`` by splitting
-  the cohort and merging ranked arrays back in cohort order, and
-  ``apply_updates`` by event label (events on known users/items go to
-  their shard, events introducing brand-new labels go to the least-loaded
-  shard). Per-shard artifacts reuse :mod:`repro.core.artifacts`
-  (``fit`` → ``save`` → ``from_directory``, no refitting);
-* :class:`FleetReport` / :class:`FleetUpdateReport` merge the per-shard
-  :class:`~repro.service.EngineReport` / :class:`~repro.service.UpdateReport`
-  objects into one fleet-level summary with per-shard breakdowns.
+  per shard and is the in-process transport of
+  :class:`~repro.service.router.ShardRouter`, which routes every request
+  to the owning shard and merges the answers: ``recommend(user)`` by the
+  user's shard, ``serve_cohort`` by splitting the cohort and merging
+  ranked arrays back in cohort order, and ``apply_updates`` by event label
+  (events on known users/items go to their shard, events introducing
+  brand-new labels go to the least-loaded shard). Per-shard artifacts
+  reuse :mod:`repro.core.artifacts` (``fit`` → ``save`` →
+  ``from_directory``, no refitting); the merged per-shard reports are
+  :class:`FleetReport` / :class:`FleetUpdateReport`.
 
 Why shard at all? Besides being the load-bearing step toward multi-process
 and multi-host serving (each shard is an independent, individually
@@ -68,9 +68,6 @@ those ghost copies stale, surfaced via ``FleetUpdateReport.hint``.
 from __future__ import annotations
 
 import os
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse.csgraph import breadth_first_order
@@ -85,17 +82,18 @@ from repro.exceptions import (
     UnknownUserError,
 )
 from repro.graph.bipartite import UserItemGraph
-from repro.service.engine import EngineReport, ServingEngine, UpdateReport
-from repro.service.serving import _label_array, rows_from_ranked_arrays
+from repro.service.engine import ServingEngine, UpdateReport
+from repro.service.router import (
+    EDGE_CUT_HINT,
+    FleetReport,
+    FleetUpdateReport,
+    ShardRouter,
+)
 from repro.utils.atomic import atomic_savez
-from repro.utils.timer import Timer, per_second
 from repro.utils.validation import (
-    as_exclude_array,
-    as_index_array,
     check_in_options,
     check_non_negative_int,
     check_positive_int,
-    is_index,
 )
 
 __all__ = [
@@ -123,15 +121,19 @@ _PLAN_FILENAME = "plan.npz"
 #: The partition strategies a plan can carry.
 PARTITIONERS = ("component", "edge-cut")
 
-#: Hint appended to cross-shard rejection errors and stale-halo reports.
-EDGE_CUT_HINT = (
-    "re-plan with `repro shard-fit --partitioner edge-cut --halo-hops K` "
-    "on the merged data"
-)
-
-
 def _shard_artifact_name(shard: int) -> str:
     return f"shard-{shard:03d}.npz"
+
+
+def _load_directory_plan(path: str) -> "ShardPlan":
+    """The plan of a sharded-artifact directory (``plan.npz``)."""
+    plan_path = os.path.join(path, _PLAN_FILENAME)
+    if not os.path.exists(plan_path):
+        raise ArtifactError(
+            f"{path!r} is not a sharded-artifact directory "
+            f"(no {_PLAN_FILENAME})"
+        )
+    return ShardPlan.load(plan_path)
 
 
 def validate_shard_events(dataset: RatingDataset, events,
@@ -873,199 +875,16 @@ class ShardPlan:
         )
 
 
-@dataclass
-class FleetReport:
-    """One cohort run across the shard fleet, with per-shard breakdowns.
-
-    ``rows`` carry **global** user/item indices (and the global item
-    labels), in cohort order, exactly as an unsharded engine would emit
-    them. ``per_shard`` holds ``(shard_id, EngineReport)`` pairs for the
-    shards the cohort touched; the per-shard reports cover their lookup
-    and solve stages (row assembly happens once, fleet-side, and is
-    included in the fleet ``seconds``).
-    """
-
-    rows: list = field(default_factory=list)
-    n_users: int = 0
-    k: int = 10
-    seconds: float = 0.0
-    n_shards: int = 0
-    row_cache_hits: int = 0
-    row_cache_misses: int = 0
-    per_shard: list = field(default_factory=list)
-    #: Process-fleet supervision counters (always zero / empty for the
-    #: in-process ShardedEngine): lifetime worker restarts, WAL batches
-    #: replayed into restarted workers, and the per-shard health rows the
-    #: run was served under. ``summary()`` surfaces them only when
-    #: ``shard_health`` is populated, so in-process summaries are unchanged.
-    restarts: int = 0
-    replayed_batches: int = 0
-    #: WAL batches skipped on replay because a checkpoint's recorded seqno
-    #: already contained them (supervisor died between checkpoint and WAL
-    #: truncation; see DESIGN.md §13/§14).
-    skipped_replay_batches: int = 0
-    #: Wall-clock seconds of the fleet's most recent successful worker
-    #: restart (kill detection through replayed-and-healthy), ``None``
-    #: until a restart has happened. First-class here so the
-    #: restart-to-healthy latency the mmap artifacts buy is observable in
-    #: production reports, not only in benchmarks.
-    last_restart_s: float | None = None
-    shard_health: list = field(default_factory=list)
-
-    @property
-    def users_per_second(self) -> float:
-        """Fleet throughput; clamped to 0.0 when the clock resolved no time
-        (:func:`~repro.utils.timer.per_second` — ``inf`` would corrupt JSON
-        summaries)."""
-        return per_second(self.n_users, self.seconds)
-
-    @property
-    def n_solves(self) -> int:
-        return sum(report.n_solves for _, report in self.per_shard)
-
-    @property
-    def result_cache_hits(self) -> int:
-        """Requests answered from a cache: the fleet's row cache plus the
-        shard engines' result caches (a fleet row-cache miss falls through
-        to a shard, where it counts again as that layer's hit or miss)."""
-        return self.row_cache_hits + sum(
-            report.result_cache_hits for _, report in self.per_shard
-        )
-
-    @property
-    def result_cache_misses(self) -> int:
-        return sum(report.result_cache_misses for _, report in self.per_shard)
-
-    @property
-    def result_cache_hit_rate(self) -> float:
-        total = self.result_cache_hits + self.result_cache_misses
-        return self.result_cache_hits / total if total else 0.0
-
-    def summary(self) -> dict:
-        """One fleet-level summary row (JSON-safe)."""
-        row = {
-            "users": self.n_users,
-            "k": self.k,
-            "seconds": round(self.seconds, 4),
-            "users_per_sec": round(self.users_per_second, 1),
-            "shards": self.n_shards,
-            "shards_hit": len(self.per_shard),
-            "solves": self.n_solves,
-            "row_hits": self.row_cache_hits,
-            "result_hits": self.result_cache_hits,
-            "result_misses": self.result_cache_misses,
-            "result_hit_rate": round(self.result_cache_hit_rate, 3),
-        }
-        if self.shard_health:
-            row["restarts"] = self.restarts
-            row["replayed_batches"] = self.replayed_batches
-            row["skipped_replay_batches"] = self.skipped_replay_batches
-            if self.last_restart_s is not None:
-                row["last_restart_s"] = round(self.last_restart_s, 4)
-            row["shards_down"] = sum(
-                1 for entry in self.shard_health
-                if entry.get("state") != "up"
-            )
-        return row
-
-    def shard_summaries(self) -> list[dict]:
-        """Per-shard summary rows, each tagged with its shard id."""
-        return [{"shard": shard, **report.summary()}
-                for shard, report in self.per_shard]
-
-
-@dataclass
-class FleetUpdateReport:
-    """One :meth:`ShardedEngine.apply_updates` batch across the fleet.
-
-    ``per_shard`` holds ``(shard_id, UpdateReport)`` pairs for the shards
-    that received events; untouched shards keep serving warm and do not
-    appear. On an edge-cut (halo) fleet, ``hint`` is set when some events
-    could not reach every replica of their endpoints — the untouched ghost
-    copies are now stale (bounded drift, DESIGN.md §12) and a re-plan
-    refreshes them; component fleets never set it (they reject cross-shard
-    edges outright instead).
-    """
-
-    n_events: int = 0
-    seconds: float = 0.0
-    per_shard: list = field(default_factory=list)
-    stale_ghost_events: int = 0
-    hint: str | None = None
-    #: Rows dropped from the fleet-level row cache by this batch — one
-    #: eviction pass over the cache after every touched shard has applied
-    #: (not one per shard), so a batch spanning S shards costs one cache
-    #: scan instead of S.
-    fleet_rows_evicted: int = 0
-    #: WAL batches replayed because a worker crashed while this batch was
-    #: in flight (multi-process fleet only; always 0 in-process).
-    replayed_batches: int = 0
-
-    @property
-    def n_shards_touched(self) -> int:
-        return len(self.per_shard)
-
-    @property
-    def n_new_users(self) -> int:
-        return sum(report.n_new_users for _, report in self.per_shard)
-
-    @property
-    def n_new_items(self) -> int:
-        return sum(report.n_new_items for _, report in self.per_shard)
-
-    @property
-    def n_replaced(self) -> int:
-        return sum(report.n_replaced for _, report in self.per_shard)
-
-    @property
-    def result_rows_evicted(self) -> int:
-        return sum(report.result_rows_evicted for _, report in self.per_shard)
-
-    def summary(self) -> dict:
-        """One fleet-level summary row (JSON-safe)."""
-        row = {
-            "events": self.n_events,
-            "shards_touched": self.n_shards_touched,
-            "new_users": self.n_new_users,
-            "new_items": self.n_new_items,
-            "replaced": self.n_replaced,
-            "results_evicted": self.result_rows_evicted,
-            "fleet_rows_evicted": self.fleet_rows_evicted,
-            "seconds": round(self.seconds, 4),
-        }
-        if self.replayed_batches:
-            row["replayed_batches"] = self.replayed_batches
-        if self.hint is not None:
-            row["stale_ghost_events"] = self.stale_ghost_events
-            row["hint"] = self.hint
-        return row
-
-    def shard_summaries(self) -> list[dict]:
-        """Per-shard summary rows, each tagged with its shard id."""
-        return [{"shard": shard, **report.summary()}
-                for shard, report in self.per_shard]
-
-
-class ShardedEngine:
+class ShardedEngine(ShardRouter):
     """A fleet of per-shard :class:`ServingEngine`\\ s behind one front.
 
-    The public surface mirrors the single engine — ``recommend`` /
-    ``serve_cohort`` / ``apply_updates`` / ``warm`` / ``stats`` — but every
-    request is routed to the shard that owns the user (or, for update
-    events, the shard that owns the event's labels) and answered there.
-    Global user/item indices are the *original dataset's*; users and items
-    registered later by updates are appended to the global space in shard
-    order. External labels are the stable identity across the fleet.
-
-    On top of the shard engines' own two cache layers, the fleet front
-    keeps a bounded LRU **row cache** of fully materialised response rows
-    per ``(user, k, exclude_rated)`` — the global-index remap and the row
-    assembly are work that exists only above the shard tier, so this is
-    where memoizing them pays: a fully warm cohort is answered without
-    touching a single shard (classic edge caching over a sharded backend).
-    Rows are shared across repeated serves; treat reports as read-only.
-    Updates evict the touched shard's users from the row cache (a
-    conservative superset of the affected users).
+    The in-process transport of :class:`~repro.service.router.ShardRouter`:
+    the public surface mirrors the single engine — ``recommend`` /
+    ``recommend_many`` / ``serve_cohort`` / ``apply_updates`` / ``warm`` /
+    ``stats`` — and every request is routed to the shard that owns the
+    user (or, for update events, the event's labels) and answered there
+    by a direct call into that shard's engine. Routing, the global index
+    space and the fleet row cache are the router's.
 
     Parameters
     ----------
@@ -1103,95 +922,9 @@ class ShardedEngine:
                     f"engine {shard} is {type(engine).__name__}; "
                     "expected ServingEngine"
                 )
-            base_users = plan.shard_users(shard).size
-            base_items = plan.shard_items(shard).size
-            if (engine.dataset.n_users < base_users
-                    or engine.dataset.n_items < base_items):
-                raise ConfigError(
-                    f"engine {shard} serves {engine.dataset.n_users} users × "
-                    f"{engine.dataset.n_items} items; the plan assigns it "
-                    f"{base_users} × {base_items} (owned + ghosts) — "
-                    "artifact/plan mismatch"
-                )
-        self.plan = plan
+        super().__init__(plan, result_cache_size)
         self.engines = engines
-        self.result_cache_size = check_non_negative_int(
-            result_cache_size, "result_cache_size"
-        )
-        self._rows: OrderedDict[tuple, list] = OrderedDict()  # guarded-by: sharded._lock
-        self.row_cache_hits = 0  # guarded-by: sharded._lock
-        self.row_cache_misses = 0  # guarded-by: sharded._lock
-        self._lock = threading.RLock()
-        self._user_shard = plan.user_shard.copy()
-        self._user_local = plan.user_local.copy()
-        self._item_shard = plan.item_shard.copy()
-        self._item_local = plan.item_local.copy()
-        # Per-shard local → global translation covers owned nodes first,
-        # then halo ghosts (matching the shard dataset's row/column order),
-        # then anything updates appended later.
-        self._user_global = [plan.shard_users(s) for s in range(plan.n_shards)]
-        self._item_global = [plan.shard_items(s) for s in range(plan.n_shards)]
-        self._item_labels = np.empty(plan.n_items, dtype=object)
-        for shard, engine in enumerate(engines):
-            base = self._item_global[shard]
-            self._item_labels[base] = _label_array(
-                engine.dataset.item_labels[:base.size]
-            )
-        # Halo plans additionally keep a dense global→local item map per
-        # shard (−1 where absent) so exclusions translate for ghost items
-        # too; component shards translate through the owner maps instead.
-        self._item_local_in_shard: list[np.ndarray] | None = (
-            [np.empty(0, dtype=np.int64)] * plan.n_shards
-            if plan.has_halos else None
-        )
-        self._user_shard_by_label: dict = {}
-        self._item_shard_by_label: dict = {}
-        for shard in range(plan.n_shards):
-            self._absorb_new_labels(shard)
-        # Label ownership: every *non-ghost* label (owned by the plan, or
-        # appended by absorbed updates) must live in exactly one shard;
-        # ghost labels are replicas and must be owned elsewhere.
-        for shard, engine in enumerate(engines):
-            for axis, labels, lookup, ghost_count, owned_count in (
-                    ("user", engine.dataset.user_labels,
-                     self._user_shard_by_label,
-                     plan.ghost_users_of_shard(shard).size,
-                     plan.users_of_shard(shard).size),
-                    ("item", engine.dataset.item_labels,
-                     self._item_shard_by_label,
-                     plan.ghost_items_of_shard(shard).size,
-                     plan.items_of_shard(shard).size)):
-                for position, label in enumerate(labels):
-                    if owned_count <= position < owned_count + ghost_count:
-                        continue  # ghost replica; verified below
-                    owner = lookup.setdefault(label, shard)
-                    if owner != shard:
-                        raise ConfigError(
-                            f"{axis} label {label!r} appears in shards "
-                            f"{owner} and {shard}; shard datasets must be "
-                            "disjoint"
-                        )
-        if plan.has_halos:
-            for shard, engine in enumerate(engines):
-                for axis, labels, lookup, ghost_count, owned_count in (
-                        ("user", engine.dataset.user_labels,
-                         self._user_shard_by_label,
-                         plan.ghost_users_of_shard(shard).size,
-                         plan.users_of_shard(shard).size),
-                        ("item", engine.dataset.item_labels,
-                         self._item_shard_by_label,
-                         plan.ghost_items_of_shard(shard).size,
-                         plan.items_of_shard(shard).size)):
-                    for label in labels[owned_count:owned_count + ghost_count]:
-                        owner = lookup.get(label)
-                        if owner is None or owner == shard:
-                            raise ConfigError(
-                                f"ghost {axis} label {label!r} in shard "
-                                f"{shard} is not owned by any other shard — "
-                                "plan/artifact mismatch"
-                            )
-            for shard in range(plan.n_shards):
-                self._rebuild_item_map(shard)
+        self._build_routing()
 
     # -- construction --------------------------------------------------------
 
@@ -1234,13 +967,7 @@ class ShardedEngine:
         :meth:`ServingEngine.from_artifact`; pass ``mmap=True`` to
         memory-map all shard artifacts instead of materialising them.
         """
-        plan_path = os.path.join(path, _PLAN_FILENAME)
-        if not os.path.exists(plan_path):
-            raise ArtifactError(
-                f"{path!r} is not a sharded-artifact directory "
-                f"(no {_PLAN_FILENAME})"
-            )
-        plan = ShardPlan.load(plan_path)
+        plan = _load_directory_plan(path)
         engines = [
             ServingEngine.from_artifact(
                 os.path.join(path, _shard_artifact_name(shard)), **engine_kwargs
@@ -1265,78 +992,42 @@ class ShardedEngine:
             )
         return path
 
-    # -- shape ---------------------------------------------------------------
+    # -- transport hooks -----------------------------------------------------
 
-    @property
-    def n_shards(self) -> int:
-        return len(self.engines)
+    def _shard_labels_locked(self, shard: int) -> tuple:
+        # Datasets are immutable and swapped whole, so this is a snapshot.
+        dataset = self.engines[shard].dataset
+        return dataset.user_labels, dataset.item_labels
 
-    @property
-    def n_users(self) -> int:
-        return self._user_shard.size
+    def _shard_version_locked(self, shard: int) -> int:
+        return self.engines[shard].model_version
 
-    @property
-    def n_items(self) -> int:
-        return self._item_shard.size
+    def _shard_loads(self) -> list:
+        return [engine.dataset.n_ratings for engine in self.engines]
 
-    def shard_of_user(self, user: int) -> int:
-        """The shard id serving a global user index."""
-        self._check_user(user)
-        return int(self._user_shard[user])
+    def _recommend_shard(self, shard, users, k, exclude_rated, excludes):
+        ranked_lists = self.engines[shard].recommend_many(
+            users, k=k, exclude_rated=exclude_rated, excludes=excludes)
+        return [[(r.item, r.label, r.score) for r in ranked]
+                for ranked in ranked_lists]
 
-    def _check_user(self, user: int) -> None:
-        if not is_index(user, self.n_users):
-            raise UnknownUserError(user)
+    def _serve_shard(self, shard, users, k, batch_size, exclude_rated):
+        report, _, items, scores = self.engines[shard]._serve_cohort_arrays(
+            users, k=k, batch_size=batch_size, exclude_rated=exclude_rated)
+        return report, items, scores
 
-    def _rebuild_item_map(self, shard: int) -> None:
-        """Recompute one shard's dense global→local item map (halo plans)."""
-        lookup = np.full(self.n_items, -1, dtype=np.int64)
-        lookup[self._item_global[shard]] = np.arange(
-            self._item_global[shard].size, dtype=np.int64
-        )
-        self._item_local_in_shard[shard] = lookup
+    def _validate_shard(self, shard, events, duplicates) -> None:
+        engine = self.engines[shard]
+        validate_shard_events(engine.dataset, events,
+                              duplicates or engine.update_duplicates)
 
-    def _translate_exclusions(self, shard: int,
-                              banned: np.ndarray) -> np.ndarray:
-        """Global exclusion indices → the shard's local item indices.
-
-        Exclusions the shard cannot see (other shards' items outside its
-        halo) are dropped — the shard can never recommend them anyway. On
-        halo plans the map covers ghost items too, so a ban on an item the
-        shard merely replicates still suppresses it.
-        """
-        in_range = banned[(banned >= 0) & (banned < self.n_items)]
-        if self._item_local_in_shard is not None:
-            local = self._item_local_in_shard[shard][in_range]
-            return local[local >= 0]
-        mine = in_range[self._item_shard[in_range] == shard]
-        return self._item_local[mine]
+    def _apply_shard(self, shard, events, duplicates) -> UpdateReport:
+        update = self.engines[shard].apply_updates(events,
+                                                   duplicates=duplicates)
+        self._absorb_labels(shard)
+        return update
 
     # -- serving -------------------------------------------------------------
-
-    def recommend(self, user: int, k: int = 10, exclude_rated: bool = True,
-                  exclude=None) -> list[Recommendation]:
-        """Top-``k`` for one global user, answered by the owning shard.
-
-        ``exclude`` takes **global** item indices; exclusions living in
-        other shards are dropped (the user's shard can never recommend
-        them) and the rest are translated to shard-local indices. Returned
-        recommendations carry global item indices and labels.
-        """
-        self._check_user(user)
-        shard = int(self._user_shard[user])
-        banned = as_exclude_array(exclude)
-        if banned.size:
-            banned = self._translate_exclusions(shard, banned)
-        ranked = self.engines[shard].recommend(
-            int(self._user_local[user]), k=k, exclude_rated=exclude_rated,
-            exclude=banned,
-        )
-        lookup = self._item_global[shard]
-        return [
-            Recommendation(int(lookup[r.item]), r.label, r.score)
-            for r in ranked
-        ]
 
     def recommend_many(self, users, k: int = 10, exclude_rated: bool = True,
                        excludes=None) -> list[list[Recommendation]]:
@@ -1347,145 +1038,10 @@ class ShardedEngine:
         :meth:`ServingEngine.recommend_many` (one coalesced solve per
         depth group), and item indices are remapped shard-local → global.
         Exclusions are translated exactly as :meth:`recommend` translates
-        them (out-of-shard bans dropped — the shard can never recommend
-        them), so responses are bit-identical to calling :meth:`recommend`
+        them, so responses are bit-identical to calling :meth:`recommend`
         once per request.
         """
-        users = list(users)
-        if excludes is None:
-            excludes = [None] * len(users)
-        else:
-            excludes = list(excludes)
-            if len(excludes) != len(users):
-                raise ConfigError(
-                    f"excludes has {len(excludes)} entries for "
-                    f"{len(users)} users"
-                )
-        k = check_positive_int(k, "k")
-        out: list = [None] * len(users)
-        by_shard: dict[int, tuple[list, list, list]] = {}
-        for position, (user, exclude) in enumerate(zip(users, excludes)):
-            self._check_user(user)
-            shard = int(self._user_shard[user])
-            banned = as_exclude_array(exclude)
-            if banned.size:
-                banned = self._translate_exclusions(shard, banned)
-            positions, local_users, local_bans = by_shard.setdefault(
-                shard, ([], [], [])
-            )
-            positions.append(position)
-            local_users.append(int(self._user_local[user]))
-            local_bans.append(banned)
-        for shard, (positions, local_users, local_bans) in by_shard.items():
-            ranked_lists = self.engines[shard].recommend_many(
-                local_users, k=k, exclude_rated=exclude_rated,
-                excludes=local_bans,
-            )
-            lookup = self._item_global[shard]
-            for position, ranked in zip(positions, ranked_lists):
-                out[position] = [
-                    Recommendation(int(lookup[r.item]), r.label, r.score)
-                    for r in ranked
-                ]
-        return out
-
-    def serve_cohort(self, users, k: int = 10, batch_size: int = 256,
-                     exclude_rated: bool = True) -> FleetReport:
-        """Serve a cohort of global user indices across the fleet.
-
-        Users with a fleet row-cache entry are answered without touching
-        any shard. The rest are split by owning shard, answered by each
-        engine's arrays path, remapped from shard-local to global item
-        indices, materialised as rows (which enter the row cache) and
-        merged back in original cohort order — byte-for-byte the shape an
-        unsharded engine's report carries.
-        """
-        k = check_positive_int(k, "k")
-        exclude_rated = bool(exclude_rated)
-        users = as_index_array(users, self.n_users, "users")
-        report = FleetReport(n_users=int(users.size), k=k,
-                             n_shards=self.n_shards)
-        with Timer() as timer:
-            per_position: list = [None] * users.size
-            if self.result_cache_size:
-                missing: list[int] = []
-                with self._lock:
-                    for position, user in enumerate(users):
-                        key = (int(user), k, exclude_rated)
-                        entry = self._rows.get(key)
-                        if entry is None:
-                            missing.append(position)
-                        else:
-                            self._rows.move_to_end(key)
-                            per_position[position] = entry
-                    report.row_cache_hits = users.size - len(missing)
-                    report.row_cache_misses = len(missing)
-                    self.row_cache_hits += report.row_cache_hits
-                    self.row_cache_misses += report.row_cache_misses
-            else:
-                missing = list(range(users.size))
-            if missing:
-                versions = [engine.model_version for engine in self.engines]
-                positions = np.asarray(missing, dtype=np.int64)
-                miss_users = users[positions]
-                items = np.full((positions.size, k), -1, dtype=np.int64)
-                scores = np.full((positions.size, k), -np.inf)
-                shard_of = self._user_shard[miss_users]
-                for shard in np.unique(shard_of):
-                    shard = int(shard)
-                    rows_of_shard = np.flatnonzero(shard_of == shard)
-                    local = self._user_local[miss_users[rows_of_shard]]
-                    shard_report, _, shard_items, shard_scores = (
-                        self.engines[shard]._serve_cohort_arrays(
-                            local, k=k, batch_size=batch_size,
-                            exclude_rated=exclude_rated,
-                        )
-                    )
-                    lookup = self._item_global[shard]
-                    valid = shard_items >= 0
-                    items[rows_of_shard] = np.where(
-                        valid, lookup[np.where(valid, shard_items, 0)], -1
-                    )
-                    scores[rows_of_shard] = shard_scores
-                    report.per_shard.append((shard, shard_report))
-                flat = rows_from_ranked_arrays(
-                    miss_users, items, scores, self._item_labels
-                )
-                bounds = np.concatenate(
-                    [[0], np.cumsum((items >= 0).sum(axis=1))]
-                )
-                for index, position in enumerate(missing):
-                    per_position[position] = flat[bounds[index]:
-                                                  bounds[index + 1]]
-                if self.result_cache_size:
-                    with self._lock:
-                        # Shard solves ran outside the lock; skip inserting
-                        # rows whose shard absorbed an update meanwhile
-                        # (version bumped, its users evicted) — re-caching
-                        # them would serve pre-update rows indefinitely.
-                        for index, position in enumerate(missing):
-                            user = int(users[position])
-                            shard = int(self._user_shard[user])
-                            if self.engines[shard].model_version != versions[shard]:
-                                continue
-                            self._rows[(user, k, exclude_rated)] = (
-                                per_position[position]
-                            )
-                        while len(self._rows) > self.result_cache_size:
-                            self._rows.popitem(last=False)
-            rows: list = []
-            for user_rows in per_position:
-                if user_rows:
-                    rows.extend(user_rows)
-            report.rows = rows
-        report.seconds = timer.elapsed
-        return report
-
-    def warm(self, users=None, k: int = 10, batch_size: int = 256) -> FleetReport:
-        """Pre-fill every shard's caches (default: every user)."""
-        if users is None:
-            users = np.arange(self.n_users, dtype=np.int64)
-        return self.serve_cohort(users, k=k, batch_size=batch_size)
+        return self._recommend_many(users, k, exclude_rated, excludes)
 
     # -- incremental updates --------------------------------------------------
 
@@ -1493,341 +1049,29 @@ class ShardedEngine:
                       ) -> FleetUpdateReport:
         """Route ``(user_label, item_label, rating)`` events to their shards.
 
-        **Component plans** route order-independently: the batch's events
-        form a label graph, and every connected group of labels lands on
-        one shard wherever its events sit in the batch (union-find over
-        the batch, mirroring the component semantics the tier is built
-        on). A group resolves to:
-
-        1. the single shard its known labels live in → that shard
-           (brand-new labels in the group register there too);
-        2. two *different* known shards → the batch would merge components
-           across shard boundaries; raises
-           :class:`~repro.exceptions.ConfigError` naming the offending
-           edge and hinting the edge-cut partitioner;
-        3. no known label at all → the least-loaded shard (fewest ratings,
-           ties to the lowest id).
-
-        **Edge-cut (halo) plans** route per event: an event whose two
-        endpoints are co-located in at least one shard is applied to
-        *every* shard holding both (owner and ghost replicas alike — a
-        co-located apply keeps the frozen degree deficit exact, so those
-        shards stay degree-true). An event introducing a new label lands
-        on the known endpoint's owner shard; replicas that hold only one
-        endpoint cannot see the new edge and their ghost copies go stale
-        within the documented error bound — counted in
-        ``FleetUpdateReport.stale_ghost_events`` with a re-plan ``hint``.
-        An edge between two known labels co-located *nowhere* exceeds
-        what the halo covers and raises :class:`ConfigError`.
-
-        The whole batch is pre-validated (rating values and scale, the
-        ``duplicates`` policy, cross-shard edges) before any shard
-        mutates, so a bad event rejects the batch with the fleet
-        untouched. Each touched shard then absorbs its slice through
-        :meth:`ServingEngine.apply_updates` (targeted invalidation, model
-        version bump); untouched shards keep serving fully warm.
+        Component plans route each connected label group of the batch to
+        the one shard its known labels live in (new groups to the
+        least-loaded shard) and reject a group spanning two shards; halo
+        plans fan each event out to every shard holding both endpoints
+        (see :class:`~repro.service.router.ShardRouter`). The whole batch
+        is validated before any shard mutates; each touched shard then
+        absorbs its slice through :meth:`ServingEngine.apply_updates`.
         """
-        events = list(events)
-        report = FleetUpdateReport(n_events=len(events))
-        if not events:
-            return report
-        with Timer() as timer:
-            if self.plan.has_halos:
-                routed, stale = self._route_events_halo(events)
-            else:
-                routed = self._route_events_component(events)
-                stale = 0
-            for shard, shard_events in enumerate(routed):
-                if shard_events:
-                    self._validate_events(shard, shard_events, duplicates)
-            for shard, shard_events in enumerate(routed):
-                if not shard_events:
-                    continue
-                update = self.engines[shard].apply_updates(
-                    shard_events, duplicates=duplicates
-                )
-                self._absorb_new_labels(shard)
-                report.per_shard.append((shard, update))
-            # One row-cache eviction pass for the whole batch, after every
-            # touched shard has applied (all model versions already bumped,
-            # so the version-gated insert in serve_cohort cannot re-admit a
-            # pre-update row behind this sweep) — a batch spanning S shards
-            # costs one cache scan, not S.
-            report.fleet_rows_evicted = self._evict_shard_rows(
-                shard for shard, _ in report.per_shard
-            )
-            if stale:
-                report.stale_ghost_events = stale
-                report.hint = (
-                    f"{stale} event(s) could not reach every halo replica "
-                    "of their endpoints; the untouched ghost copies drift "
-                    f"within the documented bound — {EDGE_CUT_HINT}"
-                )
-        report.seconds = timer.elapsed
-        return report
-
-    def _route_events_component(self, events) -> list[list]:
-        """Union-find routing for component plans (see :meth:`apply_updates`)."""
-        # Union-find over the batch's labels, namespaced "u"/"i" — a
-        # user and an item may legitimately share an external label.
-        parent: dict = {}
-
-        def find(key):
-            root = key
-            while parent.get(root, root) != root:
-                root = parent[root]
-            while parent.get(key, key) != key:  # path compression
-                parent[key], key = root, parent[key]
-            return root
-
-        for event in events:
-            user_root = find(("u", event[0]))
-            item_root = find(("i", event[1]))
-            if user_root != item_root:
-                parent[item_root] = user_root
-        group_shard: dict = {}
-        group_label: dict = {}
-        for kind, position, lookup in (
-                ("u", 0, self._user_shard_by_label),
-                ("i", 1, self._item_shard_by_label)):
-            for event in events:
-                label = event[position]
-                known = lookup.get(label)
-                if known is None:
-                    continue
-                root = find((kind, label))
-                owner = group_shard.setdefault(root, known)
-                group_label.setdefault(root, label)
-                if owner != known:
-                    raise ConfigError(
-                        self._cross_shard_message(
-                            events, group_label[root], owner, label, known
-                        )
-                    )
-        routed: list[list] = [[] for _ in range(self.n_shards)]
-        loads = [engine.dataset.n_ratings for engine in self.engines]
-        for event in events:
-            root = find(("u", event[0]))
-            shard = group_shard.get(root)
-            if shard is None:  # every label in the group is brand-new
-                shard = int(np.argmin(loads))
-                group_shard[root] = shard
-            loads[shard] += 1
-            routed[shard].append(event)
-        return routed
-
-    def _cross_shard_message(self, events, label_a, shard_a, label_b,
-                             shard_b) -> str:
-        """Name the offending cross-shard edge as concretely as possible.
-
-        Prefers an actual event from the batch whose two endpoints live in
-        different shards (the direct cut edge); falls back to the two
-        conflicting group labels when the link is transitive through
-        brand-new labels.
-        """
-        for user_label, item_label, _ in events:
-            user_owner = self._user_shard_by_label.get(user_label)
-            item_owner = self._item_shard_by_label.get(item_label)
-            if (user_owner is not None and item_owner is not None
-                    and user_owner != item_owner):
-                return (
-                    f"update event (user={user_label!r}, "
-                    f"item={item_label!r}) is a cross-shard edge: the user "
-                    f"lives in shard {user_owner}, the item in shard "
-                    f"{item_owner}; a component-sharded tier cannot apply "
-                    f"it — {EDGE_CUT_HINT}"
-                )
-        return (
-            f"update batch links {label_a!r} (shard {shard_a}) with "
-            f"{label_b!r} (shard {shard_b}) through new labels; "
-            "cross-shard edges cannot be applied to a component-sharded "
-            f"tier — {EDGE_CUT_HINT}"
-        )
-
-    def _route_events_halo(self, events) -> tuple[list[list], int]:
-        """Per-event replica routing for edge-cut plans.
-
-        Returns ``(routed, stale)`` where ``routed[shard]`` is the
-        shard's event slice (one event may appear in several shards) and
-        ``stale`` counts events some replica of whose endpoints could not
-        be updated. ``pending_*`` track labels registered earlier in this
-        batch so later events in the same batch route consistently.
-        """
-        routed: list[list] = [[] for _ in range(self.n_shards)]
-        loads = [engine.dataset.n_ratings for engine in self.engines]
-        pending_users: dict = {}
-        pending_items: dict = {}
-        stale = 0
-        for event in events:
-            user_label, item_label = event[0], event[1]
-            user_shards = self._shards_with(
-                user_label, "user", pending_users)
-            item_shards = self._shards_with(
-                item_label, "item", pending_items)
-            if user_shards and item_shards:
-                both = sorted(user_shards & item_shards)
-                if not both:
-                    user_owner = self._user_shard_by_label.get(
-                        user_label, pending_users.get(user_label))
-                    item_owner = self._item_shard_by_label.get(
-                        item_label, pending_items.get(item_label))
-                    raise ConfigError(
-                        f"update event (user={user_label!r}, "
-                        f"item={item_label!r}) joins shard {user_owner} to "
-                        f"shard {item_owner} but no shard holds both "
-                        "endpoints — the edge exceeds the plan's "
-                        f"{self.plan.halo_hops}-hop halo; {EDGE_CUT_HINT}"
-                    )
-                for shard in both:
-                    routed[shard].append(event)
-                    loads[shard] += 1
-                if (user_shards | item_shards) - set(both):
-                    stale += 1
-            elif user_shards or item_shards:
-                # One endpoint is brand-new: register it on the known
-                # endpoint's owner shard (the authoritative copy).
-                if user_shards:
-                    owner = self._user_shard_by_label.get(
-                        user_label, pending_users.get(user_label))
-                    pending_items[item_label] = owner
-                    replicas = user_shards
-                else:
-                    owner = self._item_shard_by_label.get(
-                        item_label, pending_items.get(item_label))
-                    pending_users[user_label] = owner
-                    replicas = item_shards
-                routed[owner].append(event)
-                loads[owner] += 1
-                if replicas - {owner}:
-                    stale += 1
-            else:
-                shard = int(np.argmin(loads))
-                routed[shard].append(event)
-                loads[shard] += 1
-                pending_users[user_label] = shard
-                pending_items[item_label] = shard
-        return routed, stale
-
-    def _shards_with(self, label, axis: str, pending: dict) -> set:
-        """Every shard whose dataset holds ``label`` (owned or ghost),
-        plus a registration pending earlier in the current batch."""
-        shards = set()
-        for shard, engine in enumerate(self.engines):
-            try:
-                if axis == "user":
-                    engine.dataset.user_id(label)
-                else:
-                    engine.dataset.item_id(label)
-            except (UnknownUserError, UnknownItemError):
-                continue
-            shards.add(shard)
-        if label in pending:
-            shards.add(pending[label])
-        return shards
-
-    def _validate_events(self, shard: int, events, duplicates: str | None,
-                         ) -> None:
-        """Reject a bad batch before ANY shard mutates.
-
-        Shards apply sequentially, so without this pre-pass a malformed
-        event for shard 2 would leave shards 0–1 already updated — neither
-        applied nor rejected, and retrying would double-apply. Mirrors the
-        checks :meth:`RatingDataset.extend` performs (rating value and
-        scale, plus the ``duplicates="error"`` policy against both the
-        batch and the base), raising the same :class:`DataError` shapes
-        while the fleet is still untouched.
-        """
-        engine = self.engines[shard]
-        validate_shard_events(engine.dataset, events,
-                              duplicates or engine.update_duplicates)
-
-    def _evict_shard_rows(self, shards) -> int:
-        """Drop the fleet row cache's entries for the given shards' users.
-
-        A conservative superset of the update's affected users (the shard
-        engines evict precisely; the fleet layer only knows the shards) —
-        over-eviction costs a re-route, never a stale row. Takes the whole
-        touched-shard set at once so an update batch pays a single scan of
-        the cache, under a single lock acquisition.
-        """
-        touched = set(int(s) for s in shards)
-        if not touched:
-            return 0
-        with self._lock:
-            stale = [key for key in self._rows
-                     if int(self._user_shard[key[0]]) in touched]
-            for key in stale:
-                del self._rows[key]
-            return len(stale)
-
-    def _absorb_new_labels(self, shard: int) -> None:
-        """Append a shard's post-update users/items to the global space."""
-        engine = self.engines[shard]
-        dataset = engine.dataset
-        known = self._user_global[shard].size
-        if dataset.n_users > known:
-            count = dataset.n_users - known
-            fresh = np.arange(self.n_users, self.n_users + count,
-                              dtype=np.int64)
-            self._user_global[shard] = np.concatenate(
-                [self._user_global[shard], fresh]
-            )
-            self._user_shard = np.concatenate(
-                [self._user_shard, np.full(count, shard, dtype=np.int64)]
-            )
-            self._user_local = np.concatenate(
-                [self._user_local,
-                 np.arange(known, dataset.n_users, dtype=np.int64)]
-            )
-            for label in dataset.user_labels[known:]:
-                self._user_shard_by_label[label] = shard
-        known = self._item_global[shard].size
-        if dataset.n_items > known:
-            count = dataset.n_items - known
-            fresh = np.arange(self.n_items, self.n_items + count,
-                              dtype=np.int64)
-            self._item_global[shard] = np.concatenate(
-                [self._item_global[shard], fresh]
-            )
-            self._item_shard = np.concatenate(
-                [self._item_shard, np.full(count, shard, dtype=np.int64)]
-            )
-            self._item_local = np.concatenate(
-                [self._item_local,
-                 np.arange(known, dataset.n_items, dtype=np.int64)]
-            )
-            self._item_labels = np.concatenate(
-                [self._item_labels, _label_array(dataset.item_labels[known:])]
-            )
-            for label in dataset.item_labels[known:]:
-                self._item_shard_by_label[label] = shard
-            if self._item_local_in_shard is not None:
-                # The global item space grew: every shard's dense
-                # global→local map must cover the new tail indices.
-                for other in range(self.n_shards):
-                    self._rebuild_item_map(other)
+        return self._apply_updates(events, duplicates)
 
     # -- lifecycle / introspection -------------------------------------------
 
     def clear_caches(self) -> None:
         """Drop the fleet row cache and both cache layers on every shard."""
-        with self._lock:
-            self._rows.clear()
-            self.row_cache_hits = 0
-            self.row_cache_misses = 0
+        self._clear_rows()
         for engine in self.engines:
             engine.clear_caches()
 
     def invalidate_user(self, user: int) -> int:
         """Evict one global user's rows: fleet row cache + shard cache."""
-        self._check_user(user)
-        with self._lock:
-            stale = [key for key in self._rows if key[0] == int(user)]
-            for key in stale:
-                del self._rows[key]
-        return self.engines[int(self._user_shard[user])].invalidate_user(
-            int(self._user_local[user])
-        )
+        shard, local = self._locate_user(user)
+        self._evict_user_rows(int(user))
+        return self.engines[shard].invalidate_user(local)
 
     def close(self) -> None:
         """Shut down every shard engine's worker pool."""
@@ -1855,15 +1099,7 @@ class ShardedEngine:
 
     def stats(self) -> dict:
         """Fleet shape and row-cache counters plus each shard's own stats."""
-        with self._lock:
-            fleet = {
-                "n_shards": self.n_shards,
-                "n_users": self.n_users,
-                "n_items": self.n_items,
-                "row_entries": len(self._rows),
-                "row_hits": self.row_cache_hits,
-                "row_misses": self.row_cache_misses,
-            }
+        fleet = self._router_stats()
         fleet["shards"] = [engine.stats() for engine in self.engines]
         return fleet
 

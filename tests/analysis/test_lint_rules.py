@@ -96,6 +96,45 @@ class TestBlockingUnderLock:
         assert result.findings == []
 
 
+class TestInheritedLocks:
+    """Locks, guarded attributes and helpers declared on a base class in
+    another module still bind in its subclasses, and a base template
+    method holding a lock reaches the subclass's hook override."""
+
+    def test_subclass_violations_flagged_across_modules(self, config):
+        result = lint(config, "inherit_base.py", "inherit_bad.py")
+        assert sorted(f.key for f in result.new) == [
+            "blocking-under-lock:inherit_base.py:TableBase.publish"
+            ":table.lock:send",
+            "guarded-attribute:inherit_bad.py:Transport.peek:TableBase.table",
+            "lock-order:inherit_bad.py:Transport.backwards"
+            ":cache.lock->table.lock",
+        ]
+        by_rule = {f.rule: f for f in result.new}
+        assert [(hop["file"], hop["line"])
+                for hop in by_rule["lock-order"].chain] == [
+            ("inherit_bad.py", line_of("inherit_bad.py",
+                                       "with self._cache_lock:")),
+            ("inherit_bad.py", line_of("inherit_bad.py",
+                                       "self._take_table()")),
+            ("inherit_base.py", line_of("inherit_base.py",
+                                        "with self._table_lock:")),
+        ]
+        assert [(hop["file"], hop["line"])
+                for hop in by_rule["blocking-under-lock"].chain] == [
+            ("inherit_base.py", line_of("inherit_base.py",
+                                        "held across the hook")),
+            ("inherit_base.py", line_of("inherit_base.py",
+                                        "self._deliver(payload)")),
+            ("inherit_bad.py", line_of("inherit_bad.py",
+                                       "self._conn.send(payload)")),
+        ]
+
+    def test_subclass_following_the_rules_is_clean(self, config):
+        result = lint(config, "inherit_base.py", "inherit_ok.py")
+        assert result.findings == []
+
+
 class TestExceptionTaxonomy:
     def test_raw_valueerror_flagged(self, config):
         result = lint(config, "taxonomy_bad.py")

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import blocking, lock_order
 from repro.analysis.config import load_config
 from repro.analysis.engine import run_lint
 from repro.analysis.findings import Baseline
@@ -46,3 +47,21 @@ def test_every_baseline_entry_is_justified(repo_lint):
         key for key, why in baseline.entries.items()
         if not why.strip() or why.startswith("TODO"))
     assert unjustified == []
+
+
+def test_router_code_stays_covered(repo_lint):
+    """The shard router lives in its own module; the checks must still
+    see the fleet's WAL-replay absorb take ``_routing_lock``, the router's
+    template methods reach the fleet's RPC hooks, and the router tables'
+    guarded-by declarations."""
+    result, _ = repo_lint
+    program = result.program
+    by_name = {f.qualname: f for f in program.functions}
+    acquired = lock_order.transitive_acquires(program)
+    replay = by_name["ProcessShardFleet._replay_wal_locked"]
+    assert "_routing_lock" in acquired[id(replay)]
+    closure = blocking.blocking_closure(program)
+    assert "send" in closure[id(by_name["ShardRouter._apply_updates"])]
+    guarded = {(d.klass, d.attr): d.lock for d in program.guarded}
+    assert guarded[("ShardRouter", "_user_shard")] == "_routing_lock"
+    assert guarded[("ShardRouter", "_rows")] == "router._lock"

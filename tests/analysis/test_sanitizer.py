@@ -136,9 +136,13 @@ class TestInstrument:
             def __init__(self):
                 self.lock = threading.Lock()
 
-        class ProcessShardFleet:
+        class ShardRouter:
             def __init__(self):
                 self._routing_lock = threading.Lock()
+
+        class ProcessShardFleet(ShardRouter):
+            def __init__(self):
+                super().__init__()
                 self._workers = [_ShardWorker()]
 
         fleet = ProcessShardFleet()

@@ -336,3 +336,54 @@ class TestHaloHint:
             # The fleet still serves and resolves the new item globally.
             assert fleet.n_items == giant.n_items + 1
             fleet.recommend(0, k=3)
+
+
+class TestCrossTierHaloParity:
+    """Both transports share one router, so on an edge-cut plan the same
+    update batches must route, report, reject and rank identically."""
+
+    def test_halo_updates_match_in_process_tier(self, tmp_path):
+        giant = giant_component(scale=0.12, seed=7)
+        plan = ShardPlan.build_edge_cut(giant, 4, halo_hops=1)
+        path = str(tmp_path / "halo-artifacts")
+        ShardedEngine.fit(giant, AbsorbingTimeRecommender,
+                          plan=plan).save(path)
+        inproc = ShardedEngine.from_directory(path)
+        with inproc._routing_lock:
+            holders = inproc._shards_with_locked
+            user = giant.user_labels[0]
+            co_located = (user, giant.item_labels[giant.matrix[0].indices[0]],
+                          5.0)
+            replicated = next(
+                label for label in giant.user_labels
+                if holders(label, "user", {})
+                - {inproc._user_shard_by_label[label]})
+            uncovered = next(
+                (u, i) for u in giant.user_labels for i in giant.item_labels
+                if not holders(u, "user", {}) & holders(i, "item", {}))
+        batches = [
+            ([co_located], "last"),
+            ([(replicated, "fresh-item", 4.0)], None),
+        ]
+        with ProcessShardFleet.from_directory(path) as fleet:
+            for events, duplicates in batches:
+                ours = fleet.apply_updates(events, duplicates=duplicates)
+                theirs = inproc.apply_updates(events, duplicates=duplicates)
+                summary, expected = ours.summary(), theirs.summary()
+                summary.pop("seconds")
+                expected.pop("seconds")
+                assert summary == expected
+                assert [s for s, _ in ours.per_shard] == \
+                    [s for s, _ in theirs.per_shard]
+            assert ours.stale_ghost_events == 1
+            messages = []
+            for tier in (fleet, inproc):
+                with pytest.raises(ConfigError,
+                                   match="no shard holds both") as excinfo:
+                    tier.apply_updates([(*uncovered, 3.0)])
+                messages.append(str(excinfo.value))
+            assert messages[0] == messages[1]
+            assert fleet.n_items == inproc.n_items == giant.n_items + 1
+            everyone = np.arange(fleet.n_users)
+            _assert_rows_match(fleet.serve_cohort(everyone, k=5).rows,
+                               inproc.serve_cohort(everyone, k=5).rows)

@@ -185,3 +185,49 @@ class TestRowCacheUnderConcurrentUpdates:
         everyone = np.arange(n_users)
         assert fleet.serve_cohort(everyone, k=K).rows == \
             single.serve_cohort(everyone, k=K).rows
+
+
+class TestReadsBetweenShardApplyAndAbsorb:
+    """A shard engine serves its new items as soon as its own
+    ``apply_updates`` returns, before the fleet front has absorbed their
+    labels. Reads landing in that window must remap through a map that
+    covers the answer, not index past the end of an older one."""
+
+    def test_reads_in_the_window_return_ranked_lists(self, pair, federated):
+        fleet, _ = pair
+        rater = 0
+        shard = fleet.shard_of_user(rater)
+        rated = federated.matrix[rater].indices[0]
+        # A co-rater shares the rater's component, so the walk reaches the
+        # item the rater is about to add.
+        reader = int(next(
+            u for u in federated.matrix.tocsc()[:, rated].indices
+            if u != rater
+        ))
+        engine = fleet.engines[shard]
+        original = engine.apply_updates
+        seen = {}
+
+        def apply_then_read(*args, **kwargs):
+            update = original(*args, **kwargs)
+            k = engine.dataset.n_items
+            seen["k"] = k
+            seen["recommend"] = fleet.recommend(reader, k=k)
+            seen["recommend_many"] = fleet.recommend_many([reader], k=k)[0]
+            seen["serve_cohort"] = fleet.serve_cohort([reader], k=k).rows
+            return update
+
+        engine.apply_updates = apply_then_read
+        try:
+            fleet.apply_updates(
+                [(federated.user_labels[rater], "fresh-item", 5.0)])
+        finally:
+            del engine.apply_updates
+        fresh = federated.n_items  # the first global id updates append
+        assert fleet.n_items == federated.n_items + 1
+        for name in ("recommend", "recommend_many"):
+            assert fresh in [r.item for r in seen[name]], name
+        assert fresh in [row["item"] for row in seen["serve_cohort"]]
+        # The window's answers are the post-update answers.
+        assert seen["recommend"] == fleet.recommend(reader, k=seen["k"])
+        assert seen["recommend_many"] == seen["recommend"]
