@@ -78,7 +78,6 @@ from repro.service import (
     TopKStore,
     load_event_file,
     load_user_file,
-    serve_user_cohort,
 )
 from repro.utils.timer import Timer
 
@@ -269,12 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     online.add_argument("--dtype", default=None, choices=("float32", "float64"),
                         help="override the artifact's serving precision policy")
     online.add_argument("--workers", type=int, default=1,
-                        help="worker-pool size for dispatching independent "
+                        help="thread-pool size for dispatching independent "
                              "component-groups of a cohort (default 1)")
-    online.add_argument("--worker-mode", default="thread",
-                        choices=("thread", "process"),
-                        help="worker pool flavour for --workers > 1 "
-                             "(default thread)")
     online.add_argument("--mmap", action="store_true",
                         help="memory-map the artifact arrays (v3 artifacts) "
                              "instead of materialising them: O(open) boot, "
@@ -391,8 +386,8 @@ def _serve_batch(args) -> int:
         users = np.arange(min(args.n_users, train.n_users))
     print(f"Serving {users.size} users (k={args.k}, "
           f"batch size {args.batch_size}) ...", flush=True)
-    report = serve_user_cohort(recommender, users, k=args.k,
-                               batch_size=args.batch_size)
+    report = ServingEngine(recommender, result_cache_size=0).serve_cohort(
+        users, k=args.k, batch_size=args.batch_size)
 
     print(format_table([report.summary()],
                        title=f"serve-batch: {args.algorithm} throughput"))
@@ -546,8 +541,7 @@ def _serve(args) -> int:
         print(f"Loading sharded artifacts {args.shards} ...", flush=True)
         with Timer() as load_timer:
             engine = ShardedEngine.from_directory(
-                args.shards, n_workers=args.workers,
-                worker_mode=args.worker_mode, mmap=args.mmap,
+                args.shards, n_workers=args.workers, mmap=args.mmap,
             )
         if args.store:
             print("   note: --store is ignored for sharded serving")
@@ -564,8 +558,7 @@ def _serve(args) -> int:
         with Timer() as load_timer:
             engine = ServingEngine.from_artifact(
                 args.artifact, store_path=args.store,
-                n_workers=args.workers, worker_mode=args.worker_mode,
-                mmap=args.mmap,
+                n_workers=args.workers, mmap=args.mmap,
             )
         if args.dtype is not None:
             engine.recommender.set_serving_dtype(args.dtype)

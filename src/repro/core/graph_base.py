@@ -204,7 +204,7 @@ class RandomWalkRecommender(Recommender):
     def __getstate__(self) -> dict:
         # The transition cache holds prepared operators whose splu factors
         # are not picklable (nor is its build lock); both are pure memo
-        # machinery, so process-pool workers simply rebuild on first use.
+        # machinery, so an unpickled copy simply rebuilds on first use.
         state = dict(self.__dict__)
         state["_transition_cache"] = None
         state["_cache_build_lock"] = None

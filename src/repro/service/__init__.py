@@ -3,11 +3,11 @@
 Built on the batch scoring API (:meth:`repro.core.base.Recommender.score_users`
 / ``recommend_batch``): :class:`ServingEngine` loads a model artifact (or
 wraps a fitted recommender), owns the warm scoring caches plus an LRU result
-cache, and serves single queries and chunked cohorts with cache-hit stats;
-:class:`TopKStore` precomputes every user's ranked list once and serves
-``recommend(user, k)`` from a compact int32/float32 cache with exclusion
-re-filtering; :func:`serve_user_cohort` streams a user cohort through the
-batch path in bounded-memory chunks and reports throughput;
+cache, and serves single queries and bounded-memory chunked cohorts with
+cache-hit stats and throughput (``result_cache_size=0`` makes it the
+stateless cohort job); :class:`TopKStore` precomputes every user's ranked
+list once and serves ``recommend(user, k)`` from a compact int32/float32
+cache with exclusion re-filtering;
 :class:`ShardPlan` partitions the graph by connected component into
 shards, score-exact for the walk family (or by edge-cut with k-hop halos,
 within a one-sided error bound).
@@ -29,11 +29,9 @@ from repro.service.engine import EngineReport, ServingEngine, UpdateReport
 from repro.service.faults import CRASH_POINTS, FaultSpec
 from repro.service.fleet import ProcessShardFleet
 from repro.service.serving import (
-    BatchServingReport,
     load_event_file,
     load_user_file,
     rows_from_ranked_arrays,
-    serve_user_cohort,
 )
 from repro.service.server import (
     BatchingServer,
@@ -54,7 +52,6 @@ from repro.service.sharding import (
 from repro.service.store import STORE_FORMAT_VERSION, TopKStore
 
 __all__ = [
-    "BatchServingReport",
     "BatchingServer",
     "CRASH_POINTS",
     "EDGE_CUT_HINT",
@@ -77,6 +74,5 @@ __all__ = [
     "load_user_file",
     "percentile",
     "rows_from_ranked_arrays",
-    "serve_user_cohort",
     "validate_shard_events",
 ]

@@ -15,10 +15,16 @@ keeps alive between requests. It owns:
   cohort are deduplicated before solving and fanned back out;
 * optionally an attached :class:`~repro.service.store.TopKStore` for
   microsecond single-user lookups with exclusion re-filtering;
-* a worker pool (``n_workers``; threads by default, processes as a
-  fallback) across which the *independent component-groups* of a cohort
-  are dispatched — group solves share no walk structure, so scoring them
-  concurrently is score-identical to one batch call.
+* a thread pool (``n_workers``) across which the *independent
+  component-groups* of a cohort are dispatched — group solves share no walk
+  structure, so scoring them concurrently is score-identical to one batch
+  call, and the threads share the warm caches.
+
+Every read goes through one path: :meth:`ServingEngine.recommend` is a
+one-request :meth:`~ServingEngine.recommend_many`, and both it and
+:meth:`~ServingEngine.serve_cohort` resolve rows through the same result-cache
+lookup (``result_cache_size=0`` only stops rows from being kept, so an
+uncached engine is the stateless cohort job).
 
 Every cohort run returns an :class:`EngineReport` whose summary carries the
 cache-hit statistics of both layers (entry counts included) plus per-stage
@@ -44,7 +50,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -65,17 +71,6 @@ from repro.utils.validation import (
 )
 
 __all__ = ["EngineReport", "UpdateReport", "ServingEngine"]
-
-
-def _score_partition(recommender: Recommender, users: np.ndarray, k: int,
-                     exclude_rated: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Worker task: ranked arrays for one cohort partition.
-
-    Module-level so the process fallback can pickle it; walk recommenders
-    drop their (unpicklable, rebuildable) transition cache on pickling.
-    """
-    return recommender.recommend_batch_arrays(users, k=k,
-                                              exclude_rated=exclude_rated)
 
 
 @dataclass
@@ -255,20 +250,16 @@ class ServingEngine:
         precomputed without exclusion can never leak rated items into an
         excluding request. :meth:`build_store` records this automatically.
     result_cache_size:
-        Bound on cached ranked lists (LRU-evicted beyond it); ``0`` disables
-        the result cache entirely (every request recomputes — useful for
-        benchmarking the scoring layer in isolation).
+        Bound on cached ranked lists (LRU-evicted beyond it); ``0`` keeps
+        no rows, so every call recomputes (duplicates within one call are
+        still solved once) — the stateless cohort job behind
+        ``repro.cli serve-batch``, and the scoring layer in isolation.
     n_workers:
-        Worker-pool size for the solve stage. With more than one worker, a
+        Thread-pool size for the solve stage. With more than one worker, a
         cohort's uncached users are partitioned into independent
         component-groups (via the recommender's ``cohort_partitions`` hook
         when it has one, contiguous chunks otherwise) and scored
         concurrently. ``1`` (default) solves inline.
-    worker_mode:
-        ``"thread"`` (default — shares the warm caches, no serialization) or
-        ``"process"`` (sidesteps the GIL for pure-python scoring at the cost
-        of pickling the model per task; scoring caches are rebuilt per
-        worker).
     max_pending_events:
         Staleness policy for the incremental update pipeline: once the
         events absorbed since the last full (re)fit reach this bound,
@@ -285,7 +276,7 @@ class ServingEngine:
     def __init__(self, recommender: Recommender, store: TopKStore | None = None,
                  store_exclude_rated: bool = True,
                  result_cache_size: int = 65536,
-                 n_workers: int = 1, worker_mode: str = "thread",
+                 n_workers: int = 1,
                  max_pending_events: int | None = None,
                  update_duplicates: str = "last"):
         if not isinstance(recommender, Recommender):
@@ -309,9 +300,6 @@ class ServingEngine:
             result_cache_size, "result_cache_size"
         )
         self.n_workers = check_positive_int(n_workers, "n_workers")
-        self.worker_mode = check_in_options(
-            worker_mode, "worker_mode", ("thread", "process")
-        )
         if max_pending_events is not None:
             max_pending_events = check_positive_int(
                 max_pending_events, "max_pending_events"
@@ -387,9 +375,7 @@ class ServingEngine:
     def _ensure_pool(self):
         """The engine-lifetime worker pool, created on first parallel solve."""
         if self._pool is None:
-            pool_cls = (ThreadPoolExecutor if self.worker_mode == "thread"
-                        else ProcessPoolExecutor)
-            self._pool = pool_cls(max_workers=self.n_workers)
+            self._pool = ThreadPoolExecutor(max_workers=self.n_workers)
         return self._pool
 
     def close(self) -> None:
@@ -405,30 +391,22 @@ class ServingEngine:
         Workers receive user slices, not precomputed walk structure, so a
         parallel request re-derives each user's absorbing set inside its
         worker — an accepted duplication: the group-key memo makes the
-        second grouping a dict lookup, and keeping the task payload to bare
-        indices is what lets the process fallback ship partitions cheaply.
+        second grouping a dict lookup.
         """
         with self._lock:
             self._solves += int(users.size)
+        score = self.recommender.recommend_batch_arrays
         if self.n_workers == 1 or users.size <= 1:
-            return _score_partition(self.recommender, users, k, exclude_rated)
+            return score(users, k=k, exclude_rated=exclude_rated)
         partitions = self._partitions(users)
-        if self.worker_mode == "process" and len(partitions) > self.n_workers:
-            # Each process task pickles the whole model; cap the pickle count
-            # at the pool size by folding partitions into n_workers buckets.
-            buckets = [[] for _ in range(self.n_workers)]
-            for index, positions in enumerate(
-                    sorted(partitions, key=len, reverse=True)):
-                buckets[index % self.n_workers].append(positions)
-            partitions = [np.concatenate(bucket) for bucket in buckets if bucket]
         if len(partitions) <= 1:
-            return _score_partition(self.recommender, users, k, exclude_rated)
+            return score(users, k=k, exclude_rated=exclude_rated)
         items = np.full((users.size, k), -1, dtype=np.int64)
         scores = np.full((users.size, k), -np.inf)
         pool = self._ensure_pool()
         futures = [
-            (positions, pool.submit(_score_partition, self.recommender,
-                                    users[positions], k, exclude_rated))
+            (positions, pool.submit(score, users[positions], k=k,
+                                    exclude_rated=exclude_rated))
             for positions in partitions
         ]
         for positions, future in futures:
@@ -445,17 +423,10 @@ class ServingEngine:
 
         Uncached users are deduplicated and answered in one
         :meth:`_score_users` call; rows are then assembled in cohort order
-        (duplicates fanned back out) from the cache.
+        (duplicates fanned back out) from the cache, or from this call's
+        fresh solves when they were not kept (``result_cache_size=0``, or an
+        update raced the solve).
         """
-        if self.result_cache_size == 0:
-            # No cache, but in-cohort duplicates are still solved once.
-            unique, inverse = np.unique(users, return_inverse=True)
-            with self._lock:
-                self.result_cache_misses += int(unique.size)
-                self.result_cache_hits += int(users.size - unique.size)
-            with self._stage("solve"):
-                items, scores = self._score_users(unique, k, exclude_rated)
-            return items[inverse], scores[inverse]
         with self._stage("lookup"), self._lock:
             keys = [(int(u), k, exclude_rated) for u in users]
             missing: list[int] = []
@@ -482,7 +453,7 @@ class ServingEngine:
                 # meantime (version bumped, our users possibly evicted),
                 # inserting would re-cache pre-update rows — `fresh` still
                 # serves them this once, but they stay out of the cache.
-                if self.model_version == version:
+                if self.result_cache_size and self.model_version == version:
                     self._results.update(fresh)
                     while len(self._results) > self.result_cache_size:
                         self._results.popitem(last=False)
@@ -514,55 +485,34 @@ class ServingEngine:
 
     def recommend(self, user: int, k: int = 10, exclude_rated: bool = True,
                   exclude=None) -> list[Recommendation]:
-        """Top-``k`` for one user, served as warm as possible.
-
-        Resolution order: attached :class:`TopKStore` (when deep enough for
-        ``k`` plus the exclusions and built with the same ``exclude_rated``
-        semantics — see ``store_exclude_rated``), then the engine's result
-        cache, then the model. ``exclude`` re-filters the ranked list the way
-        the store does: banned items are dropped and next-ranked ones take
-        their place.
-        """
-        dataset = self.dataset
-        dataset._check_user(user)
-        k = check_positive_int(k, "k")
-        banned = as_exclude_array(exclude)
-        if (self.store is not None
-                and exclude_rated == self.store_exclude_rated
-                and self.store.depth >= k + banned.size):
-            return self.store.recommend(user, k, exclude=banned)
-        items, scores = self._cached_arrays(
-            np.array([user], dtype=np.int64), k + banned.size, exclude_rated
-        )
-        row_items, row_scores = items[0], scores[0]
-        keep = row_items >= 0
-        if banned.size:
-            keep &= ~np.isin(row_items, banned)
-        row_items, row_scores = row_items[keep][:k], row_scores[keep][:k]
-        return [
-            Recommendation(int(i), self._labels[int(i)], float(s))
-            for i, s in zip(row_items, row_scores)
-        ]
+        """Top-``k`` for one user: a one-request :meth:`recommend_many`."""
+        return self.recommend_many([user], k=k, exclude_rated=exclude_rated,
+                                   excludes=[exclude])[0]
 
     def recommend_many(self, users, k: int = 10, exclude_rated: bool = True,
                        excludes=None) -> list[list[Recommendation]]:
-        """A batch of independent single-user requests, coalesced per solve.
+        """Top-``k`` for a batch of independent single-user requests.
 
-        The hook the micro-batching front end
+        ``users`` is a sequence of user indices (one per request —
+        duplicates legal) and ``excludes`` an optional parallel sequence of
+        per-request exclusion sets; the micro-batching front end
         (:class:`~repro.service.server.BatchingServer`) fans a drained
-        admission queue into: ``users`` is a sequence of user indices (one
-        per request — duplicates legal) and ``excludes`` an optional
-        parallel sequence of per-request exclusion sets. Responses are
-        **bit-identical** to calling :meth:`recommend` once per request
-        (asserted in the test suite): store-eligible requests go to the
-        attached :class:`TopKStore` exactly as :meth:`recommend` routes
-        them, and the rest are grouped by effective list depth
-        (``k + len(exclude)``) so each group is one
-        :meth:`_cached_arrays` call — the same call, with the same
-        arguments, that :meth:`recommend` would make per user, but with
-        the uncached users of the whole group answered in a single
-        multi-RHS solve (in-group duplicates deduplicated by the result
-        cache's lookup pass).
+        admission queue into this call.
+
+        Each request resolves in order: the attached :class:`TopKStore`
+        (when deep enough for ``k`` plus its exclusions and built with the
+        same ``exclude_rated`` semantics — see ``store_exclude_rated``),
+        then the engine's result cache, then the model. An exclusion set
+        re-filters the ranked list the way the store does: banned items are
+        dropped and next-ranked ones take their place.
+
+        Requests that miss the store are grouped by effective list depth
+        (``k + len(exclude)``), and each group is one
+        :meth:`_cached_arrays` call, so the uncached users of the whole
+        group are answered in a single multi-RHS solve (in-group duplicates
+        deduplicated by the result cache's lookup pass). A request's answer
+        is bit-identical whatever it is batched with (asserted in the test
+        suite).
         """
         users = list(users)
         if excludes is None:
@@ -574,11 +524,10 @@ class ServingEngine:
                     f"excludes has {len(excludes)} entries for "
                     f"{len(users)} users"
                 )
-        dataset = self.dataset
+        for user in users:
+            self.dataset._check_user(user)
         k = check_positive_int(k, "k")
         banned = [as_exclude_array(exclude) for exclude in excludes]
-        for user in users:
-            dataset._check_user(user)
         out: list = [None] * len(users)
         by_depth: dict[int, list[int]] = {}
         for position, (user, bans) in enumerate(zip(users, banned)):
@@ -843,7 +792,6 @@ class ServingEngine:
                 "result_misses": self.result_cache_misses,
                 "solves": self._solves,
                 "workers": self.n_workers,
-                "worker_mode": self.worker_mode,
                 "scoring_cache": self.recommender.scoring_cache_stats() or {},
                 "store_attached": self.store is not None,
                 "model_version": self.model_version,

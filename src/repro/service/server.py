@@ -65,6 +65,7 @@ from repro.utils.timer import per_second
 from repro.utils.validation import (
     as_exclude_array,
     check_non_negative_int,
+    check_positive_float,
     check_positive_int,
 )
 
@@ -287,17 +288,7 @@ class BatchingServer:
             )
         self.max_queue = check_positive_int(max_queue, "max_queue")
         if timeout_ms is not None:
-            if isinstance(timeout_ms, bool) or not isinstance(
-                    timeout_ms, (int, float, np.floating, np.integer)):
-                raise ConfigError(
-                    f"timeout_ms must be a positive number or None; "
-                    f"got {timeout_ms!r}"
-                )
-            timeout_ms = float(timeout_ms)
-            if not (math.isfinite(timeout_ms) and timeout_ms > 0):
-                raise ConfigError(
-                    f"timeout_ms must be a finite number > 0; got {timeout_ms}"
-                )
+            timeout_ms = check_positive_float(timeout_ms, "timeout_ms")
         self.timeout_ms = timeout_ms
         self.latency_window = check_positive_int(latency_window,
                                                  "latency_window")
@@ -369,6 +360,8 @@ class BatchingServer:
             raise OverloadedError("server is not running (start() it first)")
         k = check_positive_int(k, "k")
         banned = as_exclude_array(exclude)
+        if timeout_ms is not None:
+            timeout_ms = check_positive_float(timeout_ms, "timeout_ms")
         checker = getattr(self.engine, "_check_user", None)
         if checker is None:
             checker = self.engine.dataset._check_user
@@ -576,12 +569,16 @@ class HttpFrontend:
         self.host = host
         self.port = check_non_negative_int(port, "port")
         self._asyncio_server: asyncio.AbstractServer | None = None
+        self._handlers: set[asyncio.Task] = set()
+        self._idle: set[asyncio.StreamWriter] = set()
+        self._stopping = False
 
     async def start(self) -> "HttpFrontend":
         """Bind and listen; ``port=0`` picks an ephemeral port (see
         :attr:`port` afterwards for the actual one)."""
         if self._asyncio_server is not None:
             raise ConfigError("HTTP frontend already started")
+        self._stopping = False
         self._asyncio_server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
@@ -589,9 +586,20 @@ class HttpFrontend:
         return self
 
     async def stop(self) -> None:
+        """Stop listening and close every connection once it is idle.
+
+        A keep-alive connection waiting for its next request is closed at
+        once (the client reads EOF); one with a request in flight gets its
+        response first. Returns when every connection handler has exited.
+        """
         if self._asyncio_server is None:
             return
         self._asyncio_server.close()
+        self._stopping = True
+        for writer in self._idle:
+            writer.close()
+        if self._handlers:
+            await asyncio.wait(self._handlers)
         await self._asyncio_server.wait_closed()
         self._asyncio_server = None
 
@@ -605,13 +613,19 @@ class HttpFrontend:
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        handler = asyncio.current_task()
+        self._handlers.add(handler)
+        handler.add_done_callback(self._handlers.discard)
         try:
-            while True:
+            while not self._stopping:
+                self._idle.add(writer)  # stop() may close it while we wait
                 try:
                     raw = await reader.readuntil(b"\r\n\r\n")
                 except (asyncio.IncompleteReadError, asyncio.LimitOverrunError,
                         ConnectionError):
                     break
+                finally:
+                    self._idle.discard(writer)
                 if len(raw) > _MAX_HEADER_BYTES:
                     await self._respond(writer, 431, {
                         "error": "request header too large"}, close=True)

@@ -1,26 +1,22 @@
-"""End-to-end batch serving: score a cohort of users in chunks.
+"""Row assembly and input-file parsing shared by the serving tiers.
 
-This is the glue between the vectorised scoring layer
-(:meth:`~repro.core.base.Recommender.recommend_batch`) and an offline
-serving job: take a user cohort, stream it through the batch path in
-fixed-size chunks (bounding the dense walk-vector memory), and report both
-the ranked lists and the achieved throughput. ``repro.cli serve-batch``
-wraps this for the command line.
+:func:`rows_from_ranked_arrays` turns the padded ranked arrays of
+:meth:`~repro.core.base.Recommender.recommend_batch_arrays` into the
+``(user, rank, item, label, score)`` row dicts every cohort report carries;
+:func:`load_user_file` and :func:`load_event_file` parse the cohort and
+rating-event files the command line accepts. Cohorts themselves are served
+by :meth:`~repro.service.engine.ServingEngine.serve_cohort` —
+``repro.cli serve-batch`` runs it on an engine with ``result_cache_size=0``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro.core.base import Recommender
 from repro.exceptions import ConfigError, DataFormatError
-from repro.utils.timer import Timer, per_second
-from repro.utils.validation import as_index_array, check_positive_int
+from repro.utils.validation import as_index_array
 
-__all__ = ["BatchServingReport", "serve_user_cohort", "load_user_file",
-           "load_event_file", "rows_from_ranked_arrays"]
+__all__ = ["load_user_file", "load_event_file", "rows_from_ranked_arrays"]
 
 
 def rows_from_ranked_arrays(users: np.ndarray, items: np.ndarray,
@@ -53,92 +49,6 @@ def _label_array(item_labels) -> np.ndarray:
     arr = np.empty(len(item_labels), dtype=object)
     arr[:] = list(item_labels)
     return arr
-
-
-@dataclass
-class BatchServingReport:
-    """Outcome of one batch serving run.
-
-    Attributes
-    ----------
-    rows:
-        One dict per (user, rank): ``user``, ``rank`` (1-based), ``item``,
-        ``label``, ``score`` — ready for ``write_csv`` / ``format_table``.
-    n_users:
-        Cohort size served.
-    n_solves:
-        Distinct users actually scored — repeated user ids are solved once
-        and fanned out, so this is ``len(set(users))``.
-    seconds:
-        Wall-clock time of the scoring phase only (fitting excluded).
-    k:
-        Requested list length.
-    """
-
-    rows: list = field(default_factory=list)
-    n_users: int = 0
-    n_solves: int = 0
-    seconds: float = 0.0
-    k: int = 10
-
-    @property
-    def users_per_second(self) -> float:
-        """Throughput of the run; 0.0 when the clock resolved no time
-        (:func:`~repro.utils.timer.per_second` — ``inf`` would corrupt JSON
-        summaries)."""
-        return per_second(self.n_users, self.seconds)
-
-    @property
-    def mean_user_milliseconds(self) -> float:
-        return 1000.0 * self.seconds / self.n_users if self.n_users else 0.0
-
-    def summary(self) -> dict:
-        """One summary row for reporting."""
-        return {
-            "users": self.n_users,
-            "k": self.k,
-            "seconds": round(self.seconds, 4),
-            "users_per_sec": round(self.users_per_second, 1),
-            "ms_per_user": round(self.mean_user_milliseconds, 3),
-            "solves": self.n_solves,
-        }
-
-
-def serve_user_cohort(recommender: Recommender, users, k: int = 10,
-                      batch_size: int = 256,
-                      exclude_rated: bool = True) -> BatchServingReport:
-    """Serve top-``k`` lists for a user cohort through the batch path.
-
-    Repeated user ids are solved once and their rows fanned back out in
-    cohort order (``report.n_solves`` counts the distinct solves). The
-    deduplicated cohort is processed in chunks of ``batch_size`` so the
-    dense multi-RHS walk matrices stay bounded at
-    ``n_subgraph_nodes × batch_size`` floats regardless of cohort size.
-    """
-    dataset = recommender._require_fitted()
-    k = check_positive_int(k, "k")
-    batch_size = check_positive_int(batch_size, "batch_size")
-    users = as_index_array(users, dataset.n_users, "users")
-
-    unique_users, inverse = np.unique(users, return_inverse=True)
-    report = BatchServingReport(n_users=int(users.size),
-                                n_solves=int(unique_users.size), k=k)
-    labels = _label_array(dataset.item_labels)
-    with Timer() as timer:
-        items = np.empty((unique_users.size, k), dtype=np.int64)
-        scores = np.empty((unique_users.size, k))
-        for start in range(0, unique_users.size, batch_size):
-            chunk = unique_users[start:start + batch_size]
-            items[start:start + batch_size], scores[start:start + batch_size] = (
-                recommender.recommend_batch_arrays(
-                    chunk, k=k, exclude_rated=exclude_rated
-                )
-            )
-        report.rows = rows_from_ranked_arrays(
-            users, items[inverse], scores[inverse], labels
-        )
-    report.seconds = timer.elapsed
-    return report
 
 
 def load_event_file(path: str) -> list[tuple[str, str, float]]:

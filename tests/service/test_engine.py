@@ -12,12 +12,14 @@ from repro import (
     ServingEngine,
 )
 from repro.exceptions import ConfigError, NotFittedError, UnknownUserError
-from repro.service import (
-    BatchServingReport,
-    EngineReport,
-    TopKStore,
-    serve_user_cohort,
-)
+from repro.service import EngineReport, TopKStore, rows_from_ranked_arrays
+
+
+def stateless_rows(recommender, users, k):
+    """The recommender's own stateless ranking, as cohort report rows."""
+    labels = np.asarray(list(recommender.dataset.item_labels), dtype=object)
+    return rows_from_ranked_arrays(
+        users, *recommender.recommend_batch_arrays(users, k=k), labels)
 
 
 @pytest.fixture(scope="module")
@@ -65,9 +67,8 @@ class TestConstruction:
 class TestCohortServing:
     def test_matches_stateless_serving(self, fitted_at, engine):
         users = np.arange(0, 100, 9)
-        stateless = serve_user_cohort(fitted_at, users, k=6)
         report = engine.serve_cohort(users, k=6)
-        assert report.rows == stateless.rows
+        assert report.rows == stateless_rows(fitted_at, users, k=6)
         assert report.n_users == users.size
 
     def test_warm_pass_identical_and_counted(self, engine):
@@ -107,7 +108,9 @@ class TestCohortServing:
         cold = engine.serve_cohort(users, k=4)
         warm = engine.serve_cohort(users, k=4)
         assert cold.rows == warm.rows
+        assert cold.result_cache_misses == 6
         assert warm.result_cache_hits == 0
+        assert engine.stats()["result_entries"] == 0
 
     def test_result_cache_eviction_bounded(self, fitted_at):
         engine = ServingEngine(fitted_at, result_cache_size=4)
@@ -146,6 +149,16 @@ class TestSingleQuery:
     def test_unknown_user_rejected(self, engine):
         with pytest.raises(UnknownUserError):
             engine.recommend(99_999)
+
+    def test_user_checked_before_k(self, engine):
+        # A bad user and a bad k in one request: the user error wins, on
+        # the single-request path and the batch path alike.
+        with pytest.raises(UnknownUserError):
+            engine.recommend(99_999, k=0)
+        with pytest.raises(UnknownUserError):
+            engine.recommend_many([0, 99_999], k=0)
+        with pytest.raises(ConfigError, match="k"):
+            engine.recommend_many([0, 1], k=0)
 
     def test_exclude_iterator_respected_with_store(self, fitted_at):
         # A one-shot iterable must not be exhausted before the store sees it.
@@ -212,8 +225,7 @@ class TestWarmAndStats:
             engine = ServingEngine(fitted)
             report = engine.serve_cohort(np.arange(10), k=5)
             assert report.scoring_cache == {}
-            assert report.rows == serve_user_cohort(fitted, np.arange(10),
-                                                    k=5).rows
+            assert report.rows == stateless_rows(fitted, np.arange(10), k=5)
 
 
 class TestWorkerDispatch:
@@ -224,14 +236,6 @@ class TestWorkerDispatch:
         serial = ServingEngine(fitted_at, result_cache_size=0)
         threaded = ServingEngine(fitted_at, result_cache_size=0, n_workers=3)
         assert (threaded.serve_cohort(users, k=5).rows
-                == serial.serve_cohort(users, k=5).rows)
-
-    def test_process_workers_identical_rows(self, fitted_at):
-        users = np.arange(0, 40, 3)
-        serial = ServingEngine(fitted_at, result_cache_size=0)
-        forked = ServingEngine(fitted_at, result_cache_size=0, n_workers=2,
-                               worker_mode="process")
-        assert (forked.serve_cohort(users, k=5).rows
                 == serial.serve_cohort(users, k=5).rows)
 
     def test_thread_workers_on_non_walk_algorithm(self, small_synth):
@@ -253,8 +257,6 @@ class TestWorkerDispatch:
     def test_invalid_worker_config_rejected(self, fitted_at):
         with pytest.raises(ConfigError, match="n_workers"):
             ServingEngine(fitted_at, n_workers=0)
-        with pytest.raises(ConfigError, match="worker_mode"):
-            ServingEngine(fitted_at, worker_mode="fibers")
 
 
 class TestDedupeAndSolveCounts:
@@ -313,11 +315,6 @@ class TestReportJsonSafety:
         report = EngineReport(n_users=5, seconds=0.0)
         payload = json.dumps(report.summary())
         assert json.loads(payload)["users_per_sec"] == 0.0
-
-    def test_batch_serving_report_clamped_too(self):
-        report = BatchServingReport(n_users=3, seconds=0.0)
-        assert report.users_per_second == 0.0
-        assert json.loads(json.dumps(report.summary()))["users_per_sec"] == 0.0
 
     def test_live_summary_always_json_safe(self, engine):
         report = engine.serve_cohort(np.arange(4), k=3)

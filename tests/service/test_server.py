@@ -393,6 +393,9 @@ class TestAdmissionValidation:
                     await server.recommend(0, k=0)
                 with pytest.raises((ConfigError, UnknownUserError)):
                     await server.recommend(0, k=3, exclude=[True])
+                for timeout_ms in (0, -5, float("nan"), True):
+                    with pytest.raises(ConfigError, match="timeout_ms"):
+                        await server.recommend(1, k=3, timeout_ms=timeout_ms)
                 return server.report()
 
         report = run(scenario())
@@ -471,9 +474,13 @@ class TestHttpFrontend:
                     unknown = await http_get(port,
                                              "/recommend?user=999999")
                     lost = await http_get(port, "/nope")
-                    return health, report, missing, bad_k, unknown, lost
+                    bad_timeout = await http_get(
+                        port, "/recommend?user=0&k=3&timeout_ms=-1")
+                    return (health, report, missing, bad_k, unknown, lost,
+                            bad_timeout)
 
-        health, report, missing, bad_k, unknown, lost = run(scenario())
+        (health, report, missing, bad_k, unknown, lost,
+         bad_timeout) = run(scenario())
         assert health[0] == 200
         assert health[1]["status"] == "ok"
         assert health[1]["shards"] == []  # single engine: nothing to degrade
@@ -482,6 +489,7 @@ class TestHttpFrontend:
         assert bad_k[0] == 400
         assert unknown[0] == 404
         assert lost[0] == 404
+        assert bad_timeout[0] == 400 and "timeout_ms" in bad_timeout[1]["error"]
 
     def test_post_is_rejected(self, engine):
         async def scenario():
@@ -522,6 +530,58 @@ class TestHttpFrontend:
         statuses, report = run(scenario())
         assert statuses == [200, 200, 200]
         assert report.n_completed == 3
+
+    def test_stop_closes_idle_keep_alive_connections(self, engine):
+        loop_errors = []
+
+        async def scenario():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context))
+            async with BatchingServer(engine) as server:
+                front = await HttpFrontend(server, port=0).start()
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", front.port)
+                writer.write(b"GET /recommend?user=0&k=3 HTTP/1.1\r\n"
+                             b"Host: t\r\n\r\n")
+                await writer.drain()
+                head = await reader.readuntil(b"\r\n\r\n")
+                length = int([ln.split(b":", 1)[1]
+                              for ln in head.split(b"\r\n")
+                              if ln.lower().startswith(b"content-length:")][0])
+                await reader.readexactly(length)
+                # The client now idles on a keep-alive connection.
+                await asyncio.wait_for(front.stop(), 1.0)
+                tail = await asyncio.wait_for(reader.read(), 1.0)
+                writer.close()
+                return int(head.split()[1]), tail
+
+        status, tail = run(scenario())
+        assert status == 200
+        assert tail == b""  # EOF: the server closed the idle connection
+        assert loop_errors == []
+
+    def test_stop_lets_in_flight_request_finish(self, engine):
+        async def scenario():
+            async with BatchingServer(_SlowEngine(engine, 0.3)) as server:
+                front = await HttpFrontend(server, port=0).start()
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", front.port)
+                writer.write(b"GET /recommend?user=0&k=3 HTTP/1.1\r\n"
+                             b"Host: t\r\n\r\n")
+                await writer.drain()
+                while server.n_accepted == 0:  # the request is now in flight
+                    await asyncio.sleep(0.005)
+                stopping = asyncio.create_task(front.stop())
+                response = await asyncio.wait_for(reader.read(), 5.0)
+                await asyncio.wait_for(stopping, 5.0)
+                writer.close()
+                return response
+
+        response = run(scenario())
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert int(head.split()[1]) == 200
+        payload = json.loads(body)
+        assert payload["items"] == [r.item for r in engine.recommend(0, k=3)]
 
     def test_overload_maps_to_429(self, engine):
         async def scenario():
