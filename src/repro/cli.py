@@ -28,11 +28,13 @@ is the incremental half: it replays a rating-event log (new users, new
 items, re-rates) against a saved artifact through
 :meth:`~repro.service.ServingEngine.apply_updates` — no refit, targeted
 cache invalidation — and can save the updated artifact back.
-``--fleet-procs N`` on ``serve`` / ``serve-http`` runs a sharded fleet as
-one supervised worker process per shard (crash restarts, write-ahead-log
-replay, degraded serving while a shard is down); ``serve-http`` stops
-admission, drains in-flight requests, and prints its report when it
-receives SIGTERM or SIGINT.
+``serve``, ``serve-http`` and ``update`` boot through one path: a single
+engine from ``--artifact``, or an in-process fleet from a ``--shards``
+directory; ``--fleet-procs N`` on ``serve`` / ``serve-http`` instead runs
+the fleet as one supervised worker process per shard (crash restarts,
+write-ahead-log replay, degraded serving while a shard is down).
+``serve-http`` stops admission, drains in-flight requests, and prints its
+report when it receives SIGTERM or SIGINT.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import json
 import os
 import signal
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -154,18 +157,43 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=7, help="data seed")
     run.add_argument("--out", default=None, help="optional CSV output path")
 
-    serve = sub.add_parser(
-        "serve-batch",
-        help="score a user cohort end-to-end through the batch serving layer",
-    )
-    serve.add_argument("--algorithm", default="AT", choices=sorted(PAPER_ORDER),
-                       help="recommender to serve (default AT)")
-    serve.add_argument("--dataset", default="movielens",
+    # Options declared once and shared by the subcommands that take them.
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--algorithm", default="AT", choices=sorted(PAPER_ORDER),
+                       help="recommender to fit (default AT)")
+    model.add_argument("--dataset", default="movielens",
                        choices=("movielens", "douban"),
                        help="synthetic dataset family (default movielens)")
-    serve.add_argument("--scale", type=float, default=0.5,
+    model.add_argument("--scale", type=float, default=0.5,
                        help="dataset scale multiplier (default 0.5)")
-    serve.add_argument("--seed", type=int, default=7, help="data seed")
+    model.add_argument("--seed", type=int, default=7, help="data seed")
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--artifact", default=None,
+                        help="model artifact written by 'fit'")
+    source.add_argument("--shards", default=None, metavar="DIR",
+                        help="sharded-artifact directory written by "
+                             "'shard-fit' (instead of --artifact)")
+    source.add_argument("--mmap", action="store_true",
+                        help="memory-map the artifact arrays (v3 artifacts) "
+                             "instead of materialising them: O(open) boot, "
+                             "copy-on-first-write, pages shared across "
+                             "processes")
+    serving = argparse.ArgumentParser(add_help=False)
+    serving.add_argument("--fleet-procs", type=int, default=0, metavar="N",
+                         help="with --shards: run the fleet as N supervised "
+                              "worker processes (one per shard; N must equal "
+                              "the plan's shard count) with crash restarts "
+                              "and WAL recovery; a degraded shard answers "
+                              "HTTP 503 until restarted; 0 = in-process "
+                              "(default)")
+    serving.add_argument("--store", default=None,
+                         help="optional TopKStore written by 'fit --store-out' "
+                              "(single-artifact serving only)")
+
+    serve = sub.add_parser(
+        "serve-batch", parents=[model],
+        help="score a user cohort end-to-end through the batch serving layer",
+    )
     serve.add_argument("--users-file", default=None,
                        help="file with one user index per line "
                             "(default: the first --n-users users)")
@@ -178,17 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="optional CSV path for the full (user, rank, item) rows")
 
     fit = sub.add_parser(
-        "fit",
+        "fit", parents=[model],
         help="fit one algorithm and save it as a versioned model artifact",
     )
-    fit.add_argument("--algorithm", default="AT", choices=sorted(PAPER_ORDER),
-                     help="recommender to fit (default AT)")
-    fit.add_argument("--dataset", default="movielens",
-                     choices=("movielens", "douban"),
-                     help="synthetic dataset family (default movielens)")
-    fit.add_argument("--scale", type=float, default=0.5,
-                     help="dataset scale multiplier (default 0.5)")
-    fit.add_argument("--seed", type=int, default=7, help="data seed")
     fit.add_argument("--out", required=True,
                      help="artifact output path (.npz appended when missing)")
     fit.add_argument("--store-out", default=None,
@@ -237,22 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="output directory for plan.npz + shard-NNN.npz")
 
     online = sub.add_parser(
-        "serve",
+        "serve", parents=[source, serving],
         help="load a model artifact (or sharded-artifact directory) and "
              "serve a cohort through the engine",
     )
-    online.add_argument("--artifact", default=None,
-                        help="model artifact written by 'fit'")
-    online.add_argument("--shards", default=None, metavar="DIR",
-                        help="sharded-artifact directory written by "
-                             "'shard-fit' (instead of --artifact)")
-    online.add_argument("--fleet-procs", type=int, default=0, metavar="N",
-                        help="with --shards: run the fleet as N supervised "
-                             "worker processes (one per shard; N must equal "
-                             "the plan's shard count) with crash restarts "
-                             "and WAL recovery; 0 = in-process (default)")
-    online.add_argument("--store", default=None,
-                        help="optional TopKStore written by 'fit --store-out'")
     online.add_argument("--users-file", default=None,
                         help="file with one user index per line "
                              "(default: the first --n-users users)")
@@ -267,36 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
                              "warm-cache speedup; default 1)")
     online.add_argument("--dtype", default=None, choices=("float32", "float64"),
                         help="override the artifact's serving precision policy")
-    online.add_argument("--workers", type=int, default=1,
-                        help="thread-pool size for dispatching independent "
-                             "component-groups of a cohort (default 1)")
-    online.add_argument("--mmap", action="store_true",
-                        help="memory-map the artifact arrays (v3 artifacts) "
-                             "instead of materialising them: O(open) boot, "
-                             "copy-on-first-write, pages shared across "
-                             "processes")
     online.add_argument("--out", default=None,
                         help="optional CSV path for the full (user, rank, item) rows")
 
     http = sub.add_parser(
-        "serve-http",
+        "serve-http", parents=[source, serving],
         help="serve concurrent single-user requests over HTTP through the "
              "micro-batching front end (artifact or sharded fleet)",
     )
-    http.add_argument("--artifact", default=None,
-                      help="model artifact written by 'fit'")
-    http.add_argument("--shards", default=None, metavar="DIR",
-                      help="sharded-artifact directory written by "
-                           "'shard-fit' (instead of --artifact)")
-    http.add_argument("--fleet-procs", type=int, default=0, metavar="N",
-                      help="with --shards: run the fleet as N supervised "
-                           "worker processes (one per shard; N must equal "
-                           "the plan's shard count); degraded shards answer "
-                           "HTTP 503 until restarted; 0 = in-process "
-                           "(default)")
-    http.add_argument("--store", default=None,
-                      help="optional TopKStore written by 'fit --store-out' "
-                           "(single-artifact serving only)")
     http.add_argument("--host", default="127.0.0.1",
                       help="bind address (default 127.0.0.1)")
     http.add_argument("--port", type=int, default=8377,
@@ -314,12 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     http.add_argument("--timeout-ms", type=float, default=None,
                       help="default per-request deadline; a miss answers "
                            "HTTP 504 (default: none)")
-    http.add_argument("--workers", type=int, default=1,
-                      help="engine worker-pool size per cohort solve "
-                           "(default 1)")
-    http.add_argument("--mmap", action="store_true",
-                      help="memory-map the artifact arrays (v3 artifacts) "
-                           "instead of materialising them")
     http.add_argument("--duration", type=float, default=0.0,
                       help="serve for this many seconds then print the "
                            "server report and exit (default 0 = forever)")
@@ -332,16 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="list length for --self-test requests (default 10)")
 
     update = sub.add_parser(
-        "update",
-        help="replay a rating-event log against a saved artifact — the "
-             "incremental update pipeline (no refit)",
+        "update", parents=[source],
+        help="replay a rating-event log against a saved artifact (or route "
+             "it to the owning shards) — the incremental update pipeline "
+             "(no refit)",
     )
-    update.add_argument("--artifact", default=None,
-                        help="model artifact written by 'fit'")
-    update.add_argument("--shards", default=None, metavar="DIR",
-                        help="sharded-artifact directory written by "
-                             "'shard-fit'; events are routed to the owning "
-                             "shard (instead of --artifact)")
     update.add_argument("--events", required=True,
                         help="event log: 'user_label item_label rating' per "
                              "line (# comments allowed); unknown labels "
@@ -359,15 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
     update.add_argument("--serve-users", type=int, default=0,
                         help="serve the first N users after updating, showing "
                              "the retained warm-cache stats")
-    update.add_argument("--mmap", action="store_true",
-                        help="memory-map the artifact arrays (v3 artifacts); "
-                             "updates copy only the pages they touch")
     update.add_argument("--out", default=None,
                         help="save the updated model artifact here")
     return parser
 
 
-def _serve_batch(args) -> int:
+def _fit_model(args):
+    """Generate the ``--dataset`` family and fit ``--algorithm`` on it."""
     config = ExperimentConfig(scale=args.scale, data_seed=args.seed)
     print(f"Generating {args.dataset} data (scale {args.scale}) ...", flush=True)
     train = make_data(args.dataset, config).dataset
@@ -379,11 +352,16 @@ def _serve_batch(args) -> int:
     with Timer() as fit_timer:
         recommender.fit(train)
     print(f"   fitted in {fit_timer.elapsed:.2f}s")
+    return recommender
 
+
+def _serve_batch(args) -> int:
+    recommender = _fit_model(args)
+    n_users = recommender.dataset.n_users
     if args.users_file is not None:
-        users = load_user_file(args.users_file, train.n_users)
+        users = load_user_file(args.users_file, n_users)
     else:
-        users = np.arange(min(args.n_users, train.n_users))
+        users = np.arange(min(args.n_users, n_users))
     print(f"Serving {users.size} users (k={args.k}, "
           f"batch size {args.batch_size}) ...", flush=True)
     report = ServingEngine(recommender, result_cache_size=0).serve_cohort(
@@ -401,18 +379,7 @@ def _serve_batch(args) -> int:
 
 
 def _fit(args) -> int:
-    config = ExperimentConfig(scale=args.scale, data_seed=args.seed)
-    print(f"Generating {args.dataset} data (scale {args.scale}) ...", flush=True)
-    train = make_data(args.dataset, config).dataset
-    print(f"   {train}")
-
-    print(f"Fitting {args.algorithm} ...", flush=True)
-    recommender = make_algorithms(config, train=train,
-                                  include=(args.algorithm,))[0]
-    with Timer() as fit_timer:
-        recommender.fit(train)
-    print(f"   fitted in {fit_timer.elapsed:.2f}s")
-
+    recommender = _fit_model(args)
     if args.dtype is not None:
         recommender.set_serving_dtype(args.dtype)
         if "dtype" in recommender.get_config():
@@ -476,110 +443,106 @@ def _shard_fit(args) -> int:
     return 0
 
 
-def _require_one_source(args, parser_hint: str) -> bool:
+def _require_one_source(args) -> bool:
     """True when exactly one of --artifact / --shards was given."""
     if (args.artifact is None) == (args.shards is None):
-        print(f"error: {parser_hint} needs exactly one of --artifact or "
+        print(f"error: {args.command} needs exactly one of --artifact or "
               "--shards", file=sys.stderr)
         return False
     if getattr(args, "fleet_procs", 0) and args.shards is None:
-        print(f"error: {parser_hint} --fleet-procs requires --shards",
+        print(f"error: {args.command} --fleet-procs requires --shards",
               file=sys.stderr)
         return False
     return True
 
 
-def _boot_fleet(args) -> ProcessShardFleet:
-    """Boot a supervised multi-process fleet from ``--shards``.
+@contextmanager
+def _open_stack(args, **engine_kwargs):
+    """Boot the engine ``--artifact`` / ``--shards`` names, never refitting.
 
-    ``--fleet-procs`` must equal the plan's shard count — the fleet runs
-    exactly one worker process per shard, so any other value is a config
-    mistake, not a tunable.
+    Yields ``(engine, recommender name)``: a :class:`ServingEngine` for
+    ``--artifact``, a :class:`ShardedEngine` for ``--shards``, or a
+    :class:`ProcessShardFleet` for ``--shards --fleet-procs N``, which is
+    closed on exit. ``engine_kwargs`` reach every :class:`ServingEngine`;
+    ``--mmap``, ``--store`` and ``--dtype`` apply where the command has
+    them. ``--fleet-procs`` must equal the plan's shard count — the fleet
+    runs exactly one worker process per shard, so any other value is a
+    config mistake, not a tunable.
     """
-    plan = ShardPlan.load(os.path.join(args.shards, "plan.npz"))
-    if args.fleet_procs != plan.n_shards:
-        raise ConfigError(
-            f"--fleet-procs {args.fleet_procs} does not match the plan's "
-            f"{plan.n_shards} shard(s); the fleet runs exactly one worker "
-            "process per shard (use --fleet-procs "
-            f"{plan.n_shards}, or 0 for in-process serving)"
-        )
-    engine_kwargs = {}
-    workers = getattr(args, "workers", 1)
-    if workers and workers > 1:
-        engine_kwargs["n_workers"] = workers
-    if getattr(args, "mmap", False):
+    store = getattr(args, "store", None)
+    fleet_procs = getattr(args, "fleet_procs", 0)
+    dtype = getattr(args, "dtype", None)
+    if args.mmap:
         engine_kwargs["mmap"] = True
-    kwargs = {"engine_kwargs": engine_kwargs} if engine_kwargs else {}
-    return ProcessShardFleet.from_directory(args.shards, **kwargs)
-
-
-def _fleet_name(args) -> str:
-    """Recommender name from the first shard's artifact header (O(open))."""
-    return peek_artifact(os.path.join(args.shards, "shard-000.npz"))["name"]
-
-
-def _serve(args) -> int:
-    if not _require_one_source(args, "serve"):
-        return 2
-    if args.shards is not None and args.fleet_procs:
-        print(f"Loading sharded artifacts {args.shards} "
-              "(multi-process fleet) ...", flush=True)
-        with Timer() as load_timer:
-            engine = _boot_fleet(args)
-        if args.store:
-            print("   note: --store is ignored for sharded serving")
-        if args.dtype is not None:
-            print("   note: --dtype is ignored for --fleet-procs; workers "
-                  "boot with the artifact's saved precision policy")
-        name = _fleet_name(args)
-        n_users_total = engine.n_users
-        print(f"   {name} fleet: {engine.n_shards} worker process(es), "
-              f"{engine.n_users} users × {engine.n_items} items "
-              f"(booted in {load_timer.elapsed:.2f}s, no refit)")
-    elif args.shards is not None:
-        print(f"Loading sharded artifacts {args.shards} ...", flush=True)
-        with Timer() as load_timer:
-            engine = ShardedEngine.from_directory(
-                args.shards, n_workers=args.workers, mmap=args.mmap,
-            )
-        if args.store:
-            print("   note: --store is ignored for sharded serving")
-        if args.dtype is not None:
-            for shard_engine in engine.engines:
-                shard_engine.recommender.set_serving_dtype(args.dtype)
-        name = engine.engines[0].recommender.name
-        n_users_total = engine.n_users
-        print(f"   {name} fleet: {engine.n_shards} shard(s), "
-              f"{engine.n_users} users × {engine.n_items} items "
-              f"(loaded in {load_timer.elapsed:.2f}s, no refit)")
-    else:
+    if args.shards is None:
         print(f"Loading artifact {args.artifact} ...", flush=True)
         with Timer() as load_timer:
             engine = ServingEngine.from_artifact(
-                args.artifact, store_path=args.store,
-                n_workers=args.workers, mmap=args.mmap,
-            )
-        if args.dtype is not None:
-            engine.recommender.set_serving_dtype(args.dtype)
+                args.artifact, store_path=store, **engine_kwargs)
+        if dtype is not None:
+            engine.recommender.set_serving_dtype(dtype)
         name = engine.recommender.name
-        n_users_total = engine.dataset.n_users
-        print(f"   {name} over {engine.dataset} "
-              f"(loaded in {load_timer.elapsed:.2f}s, no refit, "
-              f"dtype {engine.recommender.serving_dtype}, "
-              f"workers {engine.n_workers})")
-
-    if args.users_file is not None:
-        users = load_user_file(args.users_file, n_users_total)
+        shape = (f"over {engine.dataset}, "
+                 f"dtype {engine.recommender.serving_dtype}")
     else:
-        users = np.arange(min(args.n_users, n_users_total))
-    print(f"Serving {users.size} users (k={args.k}, "
-          f"batch size {args.batch_size}, x{max(args.repeat, 1)}) ...", flush=True)
-    summaries = []
-    report = None
-    for pass_number in range(1, max(args.repeat, 1) + 1):
-        report = engine.serve_cohort(users, k=args.k, batch_size=args.batch_size)
-        summaries.append({"pass": pass_number, **report.summary()})
+        if fleet_procs:
+            print(f"Loading sharded artifacts {args.shards} "
+                  "(multi-process fleet) ...", flush=True)
+            plan = ShardPlan.load(os.path.join(args.shards, "plan.npz"))
+            if fleet_procs != plan.n_shards:
+                raise ConfigError(
+                    f"--fleet-procs {fleet_procs} does not match the plan's "
+                    f"{plan.n_shards} shard(s); the fleet runs exactly one "
+                    "worker process per shard (use --fleet-procs "
+                    f"{plan.n_shards}, or 0 for in-process serving)"
+                )
+            name = peek_artifact(
+                os.path.join(args.shards, "shard-000.npz"))["name"]
+            with Timer() as load_timer:
+                engine = ProcessShardFleet.from_directory(
+                    args.shards, engine_kwargs=engine_kwargs)
+            layout = f"{engine.n_shards} worker process(es)"
+            if dtype is not None:
+                print("   note: --dtype is ignored for --fleet-procs; workers "
+                      "boot with the artifact's saved precision policy")
+        else:
+            print(f"Loading sharded artifacts {args.shards} ...", flush=True)
+            with Timer() as load_timer:
+                engine = ShardedEngine.from_directory(args.shards,
+                                                      **engine_kwargs)
+            if dtype is not None:
+                for shard_engine in engine.engines:
+                    shard_engine.recommender.set_serving_dtype(dtype)
+            name = engine.engines[0].recommender.name
+            layout = f"{engine.n_shards} shard(s)"
+        if store:
+            print("   note: --store is ignored for sharded serving")
+        shape = (f"fleet: {layout}, "
+                 f"{engine.n_users} users × {engine.n_items} items")
+    print(f"   {name} {shape} "
+          f"(loaded in {load_timer.elapsed:.2f}s, no refit)")
+    try:
+        yield engine, name
+    finally:
+        if isinstance(engine, ProcessShardFleet):
+            engine.close()
+
+
+def _serve(args) -> int:
+    with _open_stack(args) as (engine, name):
+        if args.users_file is not None:
+            users = load_user_file(args.users_file, engine.n_users)
+        else:
+            users = np.arange(min(args.n_users, engine.n_users))
+        print(f"Serving {users.size} users (k={args.k}, "
+              f"batch size {args.batch_size}, x{max(args.repeat, 1)}) ...",
+              flush=True)
+        summaries = []
+        report = None
+        for pass_number in range(1, max(args.repeat, 1) + 1):
+            report = engine.serve_cohort(users, k=args.k,
+                                         batch_size=args.batch_size)
+            summaries.append({"pass": pass_number, **report.summary()})
 
     print(format_table(summaries, title=f"serve: {name} via engine"))
     if args.shards is not None and report.per_shard:
@@ -591,8 +554,6 @@ def _serve(args) -> int:
     if args.out:
         write_csv(report.rows, args.out)
         print(f"[saved] {args.out}")
-    if isinstance(engine, ProcessShardFleet):
-        engine.close()
     return 0
 
 
@@ -621,11 +582,10 @@ async def _http_get(host: str, port: int, path: str) -> tuple[int, dict]:
     return status, json.loads(body)
 
 
-async def _http_self_test(engine, host: str, port: int, n: int, k: int,
-                          n_users_total: int) -> int:
+async def _http_self_test(engine, host: str, port: int, n: int, k: int) -> int:
     """Fire ``n`` concurrent requests; count responses that differ from the
     direct engine answer (0 = bit-identical across the wire)."""
-    users = [i % n_users_total for i in range(n)]
+    users = [i % engine.n_users for i in range(n)]
     responses = await asyncio.gather(*[
         _http_get(host, port, f"/recommend?user={user}&k={k}")
         for user in users
@@ -641,46 +601,7 @@ async def _http_self_test(engine, host: str, port: int, n: int, k: int,
 
 
 def _serve_http(args) -> int:
-    if not _require_one_source(args, "serve-http"):
-        return 2
-    if args.shards is not None and args.fleet_procs:
-        print(f"Loading sharded artifacts {args.shards} "
-              "(multi-process fleet) ...", flush=True)
-        with Timer() as load_timer:
-            engine = _boot_fleet(args)
-        if args.store:
-            print("   note: --store is ignored for sharded serving")
-        name = _fleet_name(args)
-        n_users_total = engine.n_users
-        print(f"   {name} fleet: {engine.n_shards} worker process(es), "
-              f"{engine.n_users} users × {engine.n_items} items "
-              f"(booted in {load_timer.elapsed:.2f}s, no refit)")
-    elif args.shards is not None:
-        print(f"Loading sharded artifacts {args.shards} ...", flush=True)
-        with Timer() as load_timer:
-            engine = ShardedEngine.from_directory(args.shards,
-                                                  n_workers=args.workers,
-                                                  mmap=args.mmap)
-        if args.store:
-            print("   note: --store is ignored for sharded serving")
-        name = engine.engines[0].recommender.name
-        n_users_total = engine.n_users
-        print(f"   {name} fleet: {engine.n_shards} shard(s), "
-              f"{engine.n_users} users × {engine.n_items} items "
-              f"(loaded in {load_timer.elapsed:.2f}s, no refit)")
-    else:
-        print(f"Loading artifact {args.artifact} ...", flush=True)
-        with Timer() as load_timer:
-            engine = ServingEngine.from_artifact(
-                args.artifact, store_path=args.store, n_workers=args.workers,
-                mmap=args.mmap,
-            )
-        name = engine.recommender.name
-        n_users_total = engine.dataset.n_users
-        print(f"   {name} over {engine.dataset} "
-              f"(loaded in {load_timer.elapsed:.2f}s, no refit)")
-
-    async def _run() -> int:
+    async def _run(engine, name) -> int:
         server = BatchingServer(
             engine, max_batch_size=args.max_batch,
             max_delay_ms=args.max_delay_ms, max_queue=args.max_queue,
@@ -697,8 +618,7 @@ def _serve_http(args) -> int:
                 status = 0
                 if args.self_test > 0:
                     mismatches = await _http_self_test(
-                        engine, args.host, front.port, args.self_test,
-                        args.k, n_users_total,
+                        engine, args.host, front.port, args.self_test, args.k,
                     )
                     if mismatches:
                         print(f"[self-test] FAILED: {mismatches}/"
@@ -744,84 +664,59 @@ def _serve_http(args) -> int:
                            title=f"serve-http: {name} front-end report"))
         return status
 
-    try:
-        return asyncio.run(_run())
-    except KeyboardInterrupt:
-        # Fallback for platforms where add_signal_handler is unavailable;
-        # on the normal path SIGINT is absorbed by the drain above.
-        print("\n[serve-http] interrupted; shutting down")
-        return 0
-    finally:
-        if isinstance(engine, ProcessShardFleet):
-            engine.close()
+    with _open_stack(args) as (engine, name):
+        try:
+            return asyncio.run(_run(engine, name))
+        except KeyboardInterrupt:
+            # Fallback for platforms where add_signal_handler is unavailable;
+            # on the normal path SIGINT is absorbed by the drain above.
+            print("\n[serve-http] interrupted; shutting down")
+            return 0
 
 
 def _update(args) -> int:
-    if not _require_one_source(args, "update"):
-        return 2
-    if args.shards is not None:
-        print(f"Loading sharded artifacts {args.shards} ...", flush=True)
-        with Timer() as load_timer:
-            engine = ShardedEngine.from_directory(
-                args.shards, max_pending_events=args.max_pending,
-                update_duplicates=args.duplicates, mmap=args.mmap,
-            )
-        n_users_total = engine.n_users
-        print(f"   {engine.engines[0].recommender.name} fleet: "
-              f"{engine.n_shards} shard(s), {engine.n_users} users × "
-              f"{engine.n_items} items (loaded in {load_timer.elapsed:.2f}s)")
-    else:
-        print(f"Loading artifact {args.artifact} ...", flush=True)
-        with Timer() as load_timer:
-            engine = ServingEngine.from_artifact(
-                args.artifact, max_pending_events=args.max_pending,
-                update_duplicates=args.duplicates, mmap=args.mmap,
-            )
-        n_users_total = engine.dataset.n_users
-        print(f"   {engine.recommender.name} over {engine.dataset} "
-              f"(loaded in {load_timer.elapsed:.2f}s)")
-    if args.serve_users > 0:
-        # Warm the caches first so the update report shows what survives.
-        users = np.arange(min(args.serve_users, n_users_total))
-        engine.serve_cohort(users, k=10)
+    with _open_stack(args, max_pending_events=args.max_pending,
+                     update_duplicates=args.duplicates) as (engine, _):
+        if args.serve_users > 0:
+            # Warm the caches first so the update report shows what survives.
+            users = np.arange(min(args.serve_users, engine.n_users))
+            engine.serve_cohort(users, k=10)
 
-    events = load_event_file(args.events)
-    batch_size = args.batch_size if args.batch_size > 0 else len(events)
-    print(f"Applying {len(events)} events "
-          f"(batches of {batch_size}, duplicates={args.duplicates}) ...",
-          flush=True)
-    summaries = []
-    last_report = None
-    for start in range(0, len(events), batch_size):
-        last_report = engine.apply_updates(events[start:start + batch_size])
-        summaries.append({"batch": len(summaries) + 1, **last_report.summary()})
-    print(format_table(summaries, title="update: applied event batches"))
-    if args.shards is not None:
-        if last_report is not None and last_report.per_shard:
-            print(format_table(last_report.shard_summaries(),
-                               title="last batch, per shard"))
-        print(f"   now serving {engine.n_users} users × {engine.n_items} "
-              "items across the fleet")
-    else:
-        print(f"   now serving {engine.dataset} at model version "
-              f"{engine.model_version}")
-
-    if args.serve_users > 0:
-        total = (engine.n_users if args.shards is not None
-                 else engine.dataset.n_users)
-        users = np.arange(min(args.serve_users, total))
-        served = engine.serve_cohort(users, k=10)
-        print(format_table([served.summary()],
-                           title="post-update cohort (warm retention)"))
-    if args.out:
+        events = load_event_file(args.events)
+        batch_size = args.batch_size if args.batch_size > 0 else len(events)
+        print(f"Applying {len(events)} events "
+              f"(batches of {batch_size}, duplicates={args.duplicates}) ...",
+              flush=True)
+        summaries = []
+        last_report = None
+        for start in range(0, len(events), batch_size):
+            last_report = engine.apply_updates(events[start:start + batch_size])
+            summaries.append({"batch": len(summaries) + 1, **last_report.summary()})
+        print(format_table(summaries, title="update: applied event batches"))
         if args.shards is not None:
-            path = engine.save(args.out)
-            print(f"[saved] updated sharded artifacts in {path}/")
+            if last_report is not None and last_report.per_shard:
+                print(format_table(last_report.shard_summaries(),
+                                   title="last batch, per shard"))
+            print(f"   now serving {engine.n_users} users × {engine.n_items} "
+                  "items across the fleet")
         else:
-            path = engine.recommender.save(args.out)
-            print(f"[saved] updated artifact {path} "
-                  f"({os.path.getsize(path) // 1024} KiB)")
-    return 0
+            print(f"   now serving {engine.dataset} at model version "
+                  f"{engine.model_version}")
+
+        if args.serve_users > 0:
+            users = np.arange(min(args.serve_users, engine.n_users))
+            served = engine.serve_cohort(users, k=10)
+            print(format_table([served.summary()],
+                               title="post-update cohort (warm retention)"))
+        if args.out:
+            if args.shards is not None:
+                path = engine.save(args.out)
+                print(f"[saved] updated sharded artifacts in {path}/")
+            else:
+                path = engine.recommender.save(args.out)
+                print(f"[saved] updated artifact {path} "
+                      f"({os.path.getsize(path) // 1024} KiB)")
+        return 0
 
 
 def main(argv=None) -> int:
@@ -837,6 +732,9 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
+    if (args.command in ("serve", "serve-http", "update")
+            and not _require_one_source(args)):
+        return 2
     if args.command == "serve-batch":
         return _serve_batch(args)
     if args.command == "fit":

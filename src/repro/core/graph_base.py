@@ -224,7 +224,7 @@ class RandomWalkRecommender(Recommender):
     def _ensure_cache(self) -> TransitionCache:
         # Built lazily so fit()/load_state_dict() stay cheap; the entropy
         # vector is frozen into the cache, matching the fit-once contract.
-        # Double-checked under a lock: engine worker threads hit this
+        # Double-checked under a lock: concurrent serving threads hit this
         # concurrently on a cold model, and every thread must share the one
         # cache (and its operator/validation counters).
         if self._transition_cache is None:
@@ -379,32 +379,6 @@ class RandomWalkRecommender(Recommender):
                 or not np.all(np.isin(labels[absorbing], components))):
             return "solo"
         return tuple(int(c) for c in components)
-
-    def cohort_partitions(self, users: np.ndarray) -> list[np.ndarray]:
-        """Independent slices of a cohort, for parallel group dispatch.
-
-        Each returned array holds cohort *positions* whose solves share no
-        walk structure with the other partitions: one partition per shared
-        component-group, plus one for the per-user BFS / cold-start
-        remainder. The serving engine fans these out across its worker
-        pool; scoring partitions separately is score-identical to one batch
-        call because group solves are independent multi-RHS systems.
-        """
-        self._require_fitted()
-        users = np.asarray(users, dtype=np.int64)
-        absorbing_sets = [self._absorbing_nodes(int(u)) for u in users]
-        groups, solo = self._partition_cohort(users, absorbing_sets)
-        grouped = set()
-        partitions = []
-        for members in groups.values():
-            partitions.append(np.asarray(members, dtype=np.int64))
-            grouped.update(members)
-        grouped.update(solo)
-        remainder = [i for i in range(users.size) if i not in grouped]
-        leftover = sorted(solo + remainder)
-        if leftover or not partitions:
-            partitions.append(np.asarray(leftover, dtype=np.int64))
-        return partitions
 
     def _score_users_batch(self, users: np.ndarray) -> np.ndarray:
         dataset = self.dataset

@@ -14,11 +14,7 @@ keeps alive between requests. It owns:
   int64 arrays without touching the model at all — duplicates inside one
   cohort are deduplicated before solving and fanned back out;
 * optionally an attached :class:`~repro.service.store.TopKStore` for
-  microsecond single-user lookups with exclusion re-filtering;
-* a thread pool (``n_workers``) across which the *independent
-  component-groups* of a cohort are dispatched — group solves share no walk
-  structure, so scoring them concurrently is score-identical to one batch
-  call, and the threads share the warm caches.
+  microsecond single-user lookups with exclusion re-filtering.
 
 Every read goes through one path: :meth:`ServingEngine.recommend` is a
 one-request :meth:`~ServingEngine.recommend_many`, and both it and
@@ -29,8 +25,7 @@ uncached engine is the stateless cohort job).
 Every cohort run returns an :class:`EngineReport` whose summary carries the
 cache-hit statistics of both layers (entry counts included) plus per-stage
 wall-clock timings (lookup / solve / assemble) — the observability needed
-to size caches and worker pools and verify the fit-once/serve-many split
-actually pays.
+to size caches and verify the fit-once/serve-many split actually pays.
 
 The engine is also the front of the **incremental update pipeline**:
 :meth:`ServingEngine.apply_updates` absorbs a batch of
@@ -50,8 +45,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,8 +80,6 @@ class EngineReport:
     n_solves:
         Users actually scored by the model this run (cohort size minus
         result-cache hits and in-cohort duplicates).
-    n_workers:
-        Size of the worker pool the solve stage ran on (1 = inline).
     result_cache_hits / result_cache_misses:
         Users answered from / inserted into the engine's result cache during
         this run (duplicates within a cohort count as hits).
@@ -104,9 +95,9 @@ class EngineReport:
         Hit/miss and operator counters of the recommender's scoring-layer
         cache at the end of the run (``{}`` when the algorithm has none).
     timings:
-        Per-stage wall-clock seconds: ``lookup`` (result-cache resolution),
-        ``solve`` (model scoring, across all workers), ``assemble`` (row
-        materialisation).
+        Per-stage wall-clock seconds of this run alone: ``lookup``
+        (result-cache resolution), ``solve`` (model scoring), ``assemble``
+        (row materialisation).
     """
 
     rows: list = field(default_factory=list)
@@ -114,7 +105,6 @@ class EngineReport:
     k: int = 10
     seconds: float = 0.0
     n_solves: int = 0
-    n_workers: int = 1
     result_cache_hits: int = 0
     result_cache_misses: int = 0
     result_cache_entries: int = 0
@@ -149,7 +139,6 @@ class EngineReport:
             "seconds": round(self.seconds, 4),
             "users_per_sec": round(self.users_per_second, 1),
             "solves": self.n_solves,
-            "workers": self.n_workers,
             "solve_s": round(self.timings.get("solve", 0.0), 4),
             "result_hits": self.result_cache_hits,
             "result_misses": self.result_cache_misses,
@@ -254,12 +243,6 @@ class ServingEngine:
         no rows, so every call recomputes (duplicates within one call are
         still solved once) — the stateless cohort job behind
         ``repro.cli serve-batch``, and the scoring layer in isolation.
-    n_workers:
-        Thread-pool size for the solve stage. With more than one worker, a
-        cohort's uncached users are partitioned into independent
-        component-groups (via the recommender's ``cohort_partitions`` hook
-        when it has one, contiguous chunks otherwise) and scored
-        concurrently. ``1`` (default) solves inline.
     max_pending_events:
         Staleness policy for the incremental update pipeline: once the
         events absorbed since the last full (re)fit reach this bound,
@@ -276,7 +259,6 @@ class ServingEngine:
     def __init__(self, recommender: Recommender, store: TopKStore | None = None,
                  store_exclude_rated: bool = True,
                  result_cache_size: int = 65536,
-                 n_workers: int = 1,
                  max_pending_events: int | None = None,
                  update_duplicates: str = "last"):
         if not isinstance(recommender, Recommender):
@@ -299,7 +281,6 @@ class ServingEngine:
         self.result_cache_size = check_non_negative_int(
             result_cache_size, "result_cache_size"
         )
-        self.n_workers = check_positive_int(n_workers, "n_workers")
         if max_pending_events is not None:
             max_pending_events = check_positive_int(
                 max_pending_events, "max_pending_events"
@@ -315,9 +296,7 @@ class ServingEngine:
         self._labels = _label_array(recommender.dataset.item_labels)
         self.result_cache_hits = 0  # guarded-by: engine._lock
         self.result_cache_misses = 0  # guarded-by: engine._lock
-        self._stage_seconds: dict[str, float] = {}
         self._solves = 0  # guarded-by: engine._lock
-        self._pool = None  # lazy persistent worker pool (see close())
         # Guards the result cache and its counters so concurrent recommend /
         # invalidate_user callers never corrupt the OrderedDict or lose
         # hit/miss increments; solves run outside the lock.
@@ -348,137 +327,85 @@ class ServingEngine:
     def dataset(self):
         return self.recommender.dataset
 
-    # -- stage timing --------------------------------------------------------
+    @property
+    def n_users(self) -> int:
+        return self.dataset.n_users
 
-    @contextmanager
-    def _stage(self, name: str):
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self._stage_seconds[name] = (
-                self._stage_seconds.get(name, 0.0)
-                + time.perf_counter() - start
-            )
-
-    # -- parallel solve ------------------------------------------------------
-
-    def _partitions(self, users: np.ndarray) -> list[np.ndarray]:
-        """Position arrays of independently solvable cohort slices."""
-        partitions_hook = getattr(self.recommender, "cohort_partitions", None)
-        if partitions_hook is not None:
-            return [p for p in partitions_hook(users) if p.size]
-        bounds = np.linspace(0, users.size, self.n_workers + 1, dtype=np.int64)
-        return [np.arange(lo, hi, dtype=np.int64)
-                for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-
-    def _ensure_pool(self):
-        """The engine-lifetime worker pool, created on first parallel solve."""
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.n_workers)
-        return self._pool
-
-    def close(self) -> None:
-        """Shut down the worker pool (no-op when none was ever started)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+    # -- solve ---------------------------------------------------------------
 
     def _score_users(self, users: np.ndarray, k: int, exclude_rated: bool,
                      ) -> tuple[np.ndarray, np.ndarray]:
-        """Ranked arrays for uncached users, fanned across the worker pool.
-
-        Workers receive user slices, not precomputed walk structure, so a
-        parallel request re-derives each user's absorbing set inside its
-        worker — an accepted duplication: the group-key memo makes the
-        second grouping a dict lookup.
-        """
+        """Ranked arrays for uncached users: one multi-RHS batch solve."""
         with self._lock:
             self._solves += int(users.size)
-        score = self.recommender.recommend_batch_arrays
-        if self.n_workers == 1 or users.size <= 1:
-            return score(users, k=k, exclude_rated=exclude_rated)
-        partitions = self._partitions(users)
-        if len(partitions) <= 1:
-            return score(users, k=k, exclude_rated=exclude_rated)
-        items = np.full((users.size, k), -1, dtype=np.int64)
-        scores = np.full((users.size, k), -np.inf)
-        pool = self._ensure_pool()
-        futures = [
-            (positions, pool.submit(score, users[positions], k=k,
-                                    exclude_rated=exclude_rated))
-            for positions in partitions
-        ]
-        for positions, future in futures:
-            part_items, part_scores = future.result()
-            items[positions] = part_items
-            scores[positions] = part_scores
-        return items, scores
+        return self.recommender.recommend_batch_arrays(
+            users, k=k, exclude_rated=exclude_rated)
 
     # -- result cache --------------------------------------------------------
 
     def _cached_arrays(self, users: np.ndarray, k: int, exclude_rated: bool,
-                      ) -> tuple[np.ndarray, np.ndarray]:
+                       timings: dict | None = None,
+                       ) -> tuple[np.ndarray, np.ndarray]:
         """Ranked ``(items, scores)`` for ``users``, through the result cache.
 
-        Uncached users are deduplicated and answered in one
+        One locked pass captures every hit (refreshing its LRU position) and
+        deduplicates the misses, which are answered in one
         :meth:`_score_users` call; rows are then assembled in cohort order
-        (duplicates fanned back out) from the cache, or from this call's
-        fresh solves when they were not kept (``result_cache_size=0``, or an
-        update raced the solve).
+        (duplicates fanned back out) from the captured hits and this call's
+        fresh solves, so rows evicted while the call runs are never
+        re-solved. ``timings``, when given, accumulates this call's
+        ``lookup`` and ``solve`` seconds.
         """
-        with self._stage("lookup"), self._lock:
-            keys = [(int(u), k, exclude_rated) for u in users]
-            missing: list[int] = []
-            seen: set[tuple] = set()
-            for user, key in zip(users, keys):
-                if key in self._results:
-                    self.result_cache_hits += 1
-                elif key not in seen:
-                    seen.add(key)
-                    missing.append(int(user))
-                    self.result_cache_misses += 1
-                else:
-                    self.result_cache_hits += 1  # duplicate within this cohort
-        fresh: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        if missing:
-            version = self.model_version
-            cohort = np.asarray(missing, dtype=np.int64)
-            with self._stage("solve"):
-                new_items, new_scores = self._score_users(cohort, k, exclude_rated)
-            for row, user in enumerate(missing):
-                fresh[(user, k, exclude_rated)] = (new_items[row], new_scores[row])
-            with self._lock:
-                # Solves run outside the lock; if an update landed in the
-                # meantime (version bumped, our users possibly evicted),
-                # inserting would re-cache pre-update rows — `fresh` still
-                # serves them this once, but they stay out of the cache.
-                if self.result_cache_size and self.model_version == version:
-                    self._results.update(fresh)
-                    while len(self._results) > self.result_cache_size:
-                        self._results.popitem(last=False)
-        with self._stage("lookup"), self._lock:
-            items = np.full((users.size, k), -1, dtype=np.int64)
-            scores = np.full((users.size, k), -np.inf)
-            fallback: list[int] = []
-            for row, key in enumerate(keys):
+        start = time.perf_counter()
+        hits: list[tuple[int, tuple[np.ndarray, np.ndarray]]] = []
+        missing: dict[int, int] = {}  # uncached user -> its row in the solve
+        miss_rows: list[int] = []  # cohort rows the solve answers
+        solve_rows: list[int] = []  # the solve row for each of miss_rows
+        with self._lock:
+            for row, user in enumerate(users.tolist()):
+                key = (user, k, exclude_rated)
                 entry = self._results.get(key)
                 if entry is not None:
                     self._results.move_to_end(key)
+                    hits.append((row, entry))
+                    self.result_cache_hits += 1
+                    continue
+                if user in missing:
+                    self.result_cache_hits += 1  # duplicate within this cohort
                 else:
-                    entry = fresh.get(key)  # solved this call, not (re)cached
-                    if entry is None:  # evicted (tiny cache) mid-call
-                        fallback.append(row)
-                        continue
-                items[row], scores[row] = entry
-        if fallback:
-            rows = np.asarray(fallback, dtype=np.int64)
-            with self._stage("solve"):
-                fb_items, fb_scores = self._score_users(
-                    users[rows], k, exclude_rated
-                )
-            items[rows] = fb_items
-            scores[rows] = fb_scores
+                    missing[user] = len(missing)
+                    self.result_cache_misses += 1
+                miss_rows.append(row)
+                solve_rows.append(missing[user])
+        items = np.full((users.size, k), -1, dtype=np.int64)
+        scores = np.full((users.size, k), -np.inf)
+        for row, (row_items, row_scores) in hits:
+            items[row], scores[row] = row_items, row_scores
+        solve_seconds = 0.0
+        if missing:
+            version = self.model_version
+            cohort = np.fromiter(missing, dtype=np.int64, count=len(missing))
+            solve_start = time.perf_counter()
+            new_items, new_scores = self._score_users(cohort, k, exclude_rated)
+            solve_seconds = time.perf_counter() - solve_start
+            items[miss_rows] = new_items[solve_rows]
+            scores[miss_rows] = new_scores[solve_rows]
+            with self._lock:
+                # Solves run outside the lock; if an update landed in the
+                # meantime (version bumped, our users possibly evicted),
+                # inserting would re-cache pre-update rows — they serve this
+                # call once, but stay out of the cache.
+                if self.result_cache_size and self.model_version == version:
+                    for user, solve_row in missing.items():
+                        self._results[(user, k, exclude_rated)] = (
+                            new_items[solve_row], new_scores[solve_row])
+                    while len(self._results) > self.result_cache_size:
+                        self._results.popitem(last=False)
+        if timings is not None:
+            lookup_seconds = time.perf_counter() - start - solve_seconds
+            timings["lookup"] = timings.get("lookup", 0.0) + lookup_seconds
+            if missing:
+                timings["solve"] = timings.get("solve", 0.0) + solve_seconds
         return items, scores
 
     # -- serving -------------------------------------------------------------
@@ -572,22 +499,20 @@ class ServingEngine:
         k = check_positive_int(k, "k")
         batch_size = check_positive_int(batch_size, "batch_size")
         users = as_index_array(users, dataset.n_users, "users")
-        report = EngineReport(n_users=int(users.size), k=k,
-                              n_workers=self.n_workers)
+        report = EngineReport(n_users=int(users.size), k=k)
         with self._lock:
             # One consistent snapshot: a concurrent cohort bumping the
             # counters mid-read must not skew this report's deltas.
             hits_before = self.result_cache_hits
             misses_before = self.result_cache_misses
             solves_before = self._solves
-        self._stage_seconds = {}
         items = np.full((users.size, k), -1, dtype=np.int64)
         scores = np.full((users.size, k), -np.inf)
         with Timer() as timer:
             for start in range(0, users.size, batch_size):
                 chunk = users[start:start + batch_size]
                 items[start:start + batch_size], scores[start:start + batch_size] = (
-                    self._cached_arrays(chunk, k, exclude_rated)
+                    self._cached_arrays(chunk, k, exclude_rated, report.timings)
                 )
         report.seconds = timer.elapsed
         with self._lock:
@@ -599,7 +524,6 @@ class ServingEngine:
         report.scoring_cache = self.recommender.scoring_cache_stats() or {}
         report.scoring_cache_entries = report.scoring_cache.get("entries", 0)
         report.model_version = self.model_version
-        report.timings = dict(self._stage_seconds)
         return report, users, items, scores
 
     def serve_cohort(self, users, k: int = 10, batch_size: int = 256,
@@ -791,7 +715,6 @@ class ServingEngine:
                 "result_hits": self.result_cache_hits,
                 "result_misses": self.result_cache_misses,
                 "solves": self._solves,
-                "workers": self.n_workers,
                 "scoring_cache": self.recommender.scoring_cache_stats() or {},
                 "store_attached": self.store is not None,
                 "model_version": self.model_version,
@@ -804,6 +727,5 @@ class ServingEngine:
         return (
             f"ServingEngine(algorithm={self.recommender.name!r}, "
             f"cached_results={cached}, "
-            f"workers={self.n_workers}, "
             f"store={'yes' if self.store is not None else 'no'})"
         )

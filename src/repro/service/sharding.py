@@ -937,8 +937,7 @@ class ShardedEngine(ShardRouter):
         ``recommender_factory`` is a zero-argument callable returning a
         fresh unfitted :class:`~repro.core.base.Recommender` (each shard
         gets its own instance); ``engine_kwargs`` are forwarded to every
-        per-shard :class:`ServingEngine` (cache sizes, worker pools, update
-        policy).
+        per-shard :class:`ServingEngine` (cache sizes, update policy).
         """
         if plan is None:
             if n_shards is None:
@@ -1072,11 +1071,6 @@ class ShardedEngine(ShardRouter):
         shard, local = self._locate_user(user)
         self._evict_user_rows(int(user))
         return self.engines[shard].invalidate_user(local)
-
-    def close(self) -> None:
-        """Shut down every shard engine's worker pool."""
-        for engine in self.engines:
-            engine.close()
 
     def health(self) -> dict:
         """Per-shard health, in the shape the HTTP ``/health`` probe serves.

@@ -170,3 +170,52 @@ class TestServeHttp:
                      "--self-test", "8", "--k", "3"]) == 0
         out = capsys.readouterr().out
         assert "bit-identical" in out
+
+
+class TestStackBoot:
+    """serve / serve-http / update boot every source flavour the same way."""
+
+    @pytest.fixture()
+    def fleet_dir(self, tmp_path):
+        fleet_dir = str(tmp_path / "fleet")
+        assert main(["shard-fit", "--algorithm", "AT", "--scale", "0.15",
+                     "--shards", "2", "--out", fleet_dir]) == 0
+        return fleet_dir
+
+    def test_process_fleet_serves_in_process_rows(self, fleet_dir, tmp_path,
+                                                  capsys):
+        in_process = tmp_path / "a.csv"
+        processes = tmp_path / "b.csv"
+        cohort = ["--n-users", "12", "--k", "3"]
+        assert main(["serve", "--shards", fleet_dir, *cohort,
+                     "--out", str(in_process)]) == 0
+        assert main(["serve", "--shards", fleet_dir, "--fleet-procs", "2",
+                     *cohort, "--out", str(processes)]) == 0
+        assert "2 worker process(es)" in capsys.readouterr().out
+        rows = in_process.read_text()
+        assert len(rows.splitlines()) > 1
+        assert processes.read_text() == rows
+
+    def test_fleet_procs_must_match_plan(self, fleet_dir, capsys):
+        assert main(["serve", "--shards", fleet_dir, "--fleet-procs", "3",
+                     "--n-users", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+        assert "--fleet-procs 3" in err and "2 shard(s)" in err
+
+    def test_update_then_serve_grown_fleet(self, fleet_dir, tmp_path, capsys):
+        events = tmp_path / "events.log"
+        events.write_text("brand-new-user t1:item2 5.0\n"
+                          "another-new-user t0:item1 3.0\n")
+        updated = str(tmp_path / "fleet-updated")
+        assert main(["serve", "--shards", fleet_dir, "--n-users", "1"]) == 0
+        before = int(capsys.readouterr().out.split(" users × ")[0].split()[-1])
+        assert main(["update", "--shards", fleet_dir, "--events", str(events),
+                     "--out", updated]) == 0
+        capsys.readouterr()
+        assert main(["serve", "--shards", updated,
+                     "--n-users", str(before + 10), "--k", "2"]) == 0
+        out = capsys.readouterr().out
+        assert f"{before + 2} users × " in out
+        assert f"Serving {before + 2} users" in out

@@ -1,6 +1,8 @@
 """ServingEngine: warm caches must never change results, edge cases included."""
 
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -118,6 +120,17 @@ class TestCohortServing:
         assert report.n_users == 12
         assert engine.stats()["result_entries"] <= 4
 
+    def test_hits_evicted_mid_call_are_not_resolved(self, fitted_at):
+        """A tiny cache whose own inserts evict this call's hits still
+        serves those hits from the one lookup pass, never re-solving them."""
+        engine = ServingEngine(fitted_at, result_cache_size=2)
+        engine.serve_cohort(np.array([0, 1]), k=3)
+        report = engine.serve_cohort(np.array([0, 1, 2, 3]), k=3)
+        assert report.result_cache_hits == 2
+        assert report.result_cache_misses == 2
+        assert report.n_solves == report.result_cache_misses
+        assert report.rows == stateless_rows(fitted_at, np.arange(4), k=3)
+
 
 class TestColdStartUsers:
     def test_cold_start_user_yields_no_rows(self, small_synth):
@@ -228,35 +241,38 @@ class TestWarmAndStats:
             assert report.rows == stateless_rows(fitted, np.arange(10), k=5)
 
 
-class TestWorkerDispatch:
-    """Parallel component-group dispatch must never change a ranking."""
-
-    def test_thread_workers_identical_rows(self, fitted_at):
-        users = np.arange(0, 100, 3)
-        serial = ServingEngine(fitted_at, result_cache_size=0)
-        threaded = ServingEngine(fitted_at, result_cache_size=0, n_workers=3)
-        assert (threaded.serve_cohort(users, k=5).rows
-                == serial.serve_cohort(users, k=5).rows)
-
-    def test_thread_workers_on_non_walk_algorithm(self, small_synth):
-        fitted = PureSVDRecommender().fit(small_synth.dataset)
-        serial = ServingEngine(fitted, result_cache_size=0)
-        threaded = ServingEngine(fitted, result_cache_size=0, n_workers=2)
-        users = np.arange(0, 60, 2)
-        assert (threaded.serve_cohort(users, k=5).rows
-                == serial.serve_cohort(users, k=5).rows)
-
+class TestStageTimings:
     def test_stage_timings_reported(self, fitted_at):
-        engine = ServingEngine(fitted_at, n_workers=2)
+        engine = ServingEngine(fitted_at)
         report = engine.serve_cohort(np.arange(0, 30, 2), k=4)
-        assert report.n_workers == 2
         assert {"lookup", "solve", "assemble"} <= set(report.timings)
         assert all(v >= 0 for v in report.timings.values())
         assert "solve_s" in report.summary()
 
-    def test_invalid_worker_config_rejected(self, fitted_at):
-        with pytest.raises(ConfigError, match="n_workers"):
-            ServingEngine(fitted_at, n_workers=0)
+    def test_timings_exclude_concurrent_callers(self, fitted_at, monkeypatch):
+        """A run's stage timings are its own: another caller's solve, made
+        while this run waits, is neither added to them nor resets them."""
+        engine = ServingEngine(fitted_at, result_cache_size=0)
+        real = fitted_at.recommend_batch_arrays
+        other_done = threading.Event()
+
+        def other_caller():
+            engine.recommend_many([7], k=3)
+            other_done.set()
+
+        def solve(users, **kwargs):
+            if 0 in users:  # this run's solve waits out the other caller's
+                other = threading.Thread(target=other_caller)
+                other.start()
+                other.join(timeout=10)
+            else:
+                time.sleep(0.3)
+            return real(users, **kwargs)
+
+        monkeypatch.setattr(fitted_at, "recommend_batch_arrays", solve)
+        report = engine.serve_cohort(np.arange(4), k=3)
+        assert other_done.is_set()
+        assert report.timings["solve"] <= report.seconds
 
 
 class TestDedupeAndSolveCounts:
