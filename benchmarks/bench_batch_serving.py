@@ -15,14 +15,13 @@ kept — what a naive loop over a fitted model does today).
 
 Asserted shape (at default scale): batch ``score_users`` is at least 3×
 faster than the cold per-user loop for the walk recommender, and all paths
-produce identical rankings. The precomputed :class:`~repro.service.TopKStore`
-then answers individual requests in microseconds from its int32 cache.
+produce identical rankings.
 """
 
 import numpy as np
 
 from benchmarks.conftest import strict_assertions
-from repro import AbsorbingTimeRecommender, PureSVDRecommender, TopKStore
+from repro import AbsorbingTimeRecommender, PureSVDRecommender
 from repro.experiments import make_data
 from repro.utils.timer import Timer
 
@@ -81,32 +80,14 @@ def test_batch_serving_speedup(config, report):
             "batch_users_per_sec": round(COHORT / batch_seconds, 1),
         })
 
-    # Precompute-once serving: per-request latency from the int32 cache.
-    at = AbsorbingTimeRecommender().fit(train)
-    store = TopKStore.from_recommender(at, depth=20)
-    with Timer() as serve_timer:
-        for user in range(train.n_users):
-            store.recommend(user, k=10)
-    rows.append({
-        "algorithm": "AT via TopKStore",
-        "cold_loop_s": None,
-        "warm_loop_s": None,
-        "batch_s": None,
-        "speedup_vs_cold": None,
-        "batch_users_per_sec": round(train.n_users / serve_timer.elapsed, 1),
-    })
-
     report(
         f"Batch serving - {COHORT}-user cohort, cold/warm per-user loop vs "
-        f"score_users (plus precomputed TopKStore serve rate)",
+        "score_users",
         rows=rows, filename="batch_serving.csv",
     )
-    print(f"AT batch speedup: {speedups['AT']:.1f}x  "
-          f"(store: {store!r}, coverage@10 {store.coverage(10):.0%})")
+    print(f"AT batch speedup: {speedups['AT']:.1f}x")
 
     if strict_assertions():
         # The acceptance bar for the batch layer: >= 3x over the cold loop
         # for the walk recommender on the default-scale synthetic dataset.
         assert speedups["AT"] >= 3.0
-        # The store must cover the whole user base at serving depth.
-        assert store.coverage(10) == 1.0

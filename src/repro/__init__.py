@@ -10,7 +10,7 @@ the full evaluation harness regenerating each table and figure of the
 paper's experimental section, and a serving layer for cohort-scale traffic:
 vectorised multi-user scoring, versioned model artifacts (fit once, save,
 load, serve — no refitting), and a stateful ``ServingEngine`` with warm
-transition/result caches plus a precomputed top-K store.
+transition/result caches.
 
 Quickstart
 ----------
@@ -101,7 +101,6 @@ from repro.service import (
     ServingEngine,
     ShardedEngine,
     ShardPlan,
-    TopKStore,
 )
 from repro.topics import LatentTopicModel, fit_lda, fit_lda_cvb0, fit_lda_gibbs
 
@@ -165,7 +164,6 @@ __all__ = [
     "ServingEngine",
     "ShardPlan",
     "ShardedEngine",
-    "TopKStore",
     "save_artifact",
     "load_artifact",
     # evaluation

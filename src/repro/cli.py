@@ -21,7 +21,7 @@ exercises the batch serving layer end-to-end: fit one algorithm, score a
 cohort of users through the vectorised batch path, and report the ranked
 lists plus the achieved throughput. ``fit`` and ``serve`` are the
 offline/online split: ``fit`` trains once and saves a versioned model
-artifact (optionally plus a precomputed top-K store); ``serve`` boots a
+artifact; ``serve`` boots a
 :class:`~repro.service.ServingEngine` from the artifact — no refitting —
 and answers a cohort with warm-cache statistics in the report. ``update``
 is the incremental half: it replays a rating-event log (new users, new
@@ -78,7 +78,6 @@ from repro.service import (
     ServingEngine,
     ShardedEngine,
     ShardPlan,
-    TopKStore,
     load_event_file,
     load_user_file,
 )
@@ -186,9 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "and WAL recovery; a degraded shard answers "
                               "HTTP 503 until restarted; 0 = in-process "
                               "(default)")
-    serving.add_argument("--store", default=None,
-                         help="optional TopKStore written by 'fit --store-out' "
-                              "(single-artifact serving only)")
 
     serve = sub.add_parser(
         "serve-batch", parents=[model],
@@ -211,10 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fit.add_argument("--out", required=True,
                      help="artifact output path (.npz appended when missing)")
-    fit.add_argument("--store-out", default=None,
-                     help="also precompute a TopKStore and save it here")
-    fit.add_argument("--store-depth", type=int, default=50,
-                     help="cached list depth for --store-out (default 50)")
     fit.add_argument("--dtype", default=None, choices=("float32", "float64"),
                      help="serving precision policy baked into the artifact "
                           "(float32 halves walk-solver bandwidth; top-k "
@@ -389,13 +381,6 @@ def _fit(args) -> int:
                   f"--dtype {args.dtype} is ignored and not persisted")
     path = recommender.save(args.out)
     print(f"[saved] artifact {path} ({os.path.getsize(path) // 1024} KiB)")
-
-    if args.store_out:
-        print(f"Precomputing TopKStore (depth {args.store_depth}) ...", flush=True)
-        store = TopKStore.from_recommender(recommender, depth=args.store_depth)
-        store_path = store.save(args.store_out)
-        print(f"[saved] store {store_path} "
-              f"({os.path.getsize(store_path) // 1024} KiB)")
     return 0
 
 
@@ -464,12 +449,11 @@ def _open_stack(args, **engine_kwargs):
     ``--artifact``, a :class:`ShardedEngine` for ``--shards``, or a
     :class:`ProcessShardFleet` for ``--shards --fleet-procs N``, which is
     closed on exit. ``engine_kwargs`` reach every :class:`ServingEngine`;
-    ``--mmap``, ``--store`` and ``--dtype`` apply where the command has
+    ``--mmap`` and ``--dtype`` apply where the command has
     them. ``--fleet-procs`` must equal the plan's shard count — the fleet
     runs exactly one worker process per shard, so any other value is a
     config mistake, not a tunable.
     """
-    store = getattr(args, "store", None)
     fleet_procs = getattr(args, "fleet_procs", 0)
     dtype = getattr(args, "dtype", None)
     if args.mmap:
@@ -477,8 +461,8 @@ def _open_stack(args, **engine_kwargs):
     if args.shards is None:
         print(f"Loading artifact {args.artifact} ...", flush=True)
         with Timer() as load_timer:
-            engine = ServingEngine.from_artifact(
-                args.artifact, store_path=store, **engine_kwargs)
+            engine = ServingEngine.from_artifact(args.artifact,
+                                                 **engine_kwargs)
         if dtype is not None:
             engine.recommender.set_serving_dtype(dtype)
         name = engine.recommender.name
@@ -515,8 +499,6 @@ def _open_stack(args, **engine_kwargs):
                     shard_engine.recommender.set_serving_dtype(dtype)
             name = engine.engines[0].recommender.name
             layout = f"{engine.n_shards} shard(s)"
-        if store:
-            print("   note: --store is ignored for sharded serving")
         shape = (f"fleet: {layout}, "
                  f"{engine.n_users} users × {engine.n_items} items")
     print(f"   {name} {shape} "

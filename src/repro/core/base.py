@@ -460,8 +460,7 @@ class Recommender(abc.ABC):
         padding (and ``-inf`` score) where the list is shorter than ``k``
         (cold-start users, ``-inf``-scored items). Padding is always
         trailing. This is the allocation-friendly shape the serving layer
-        (cohort rows, :class:`~repro.service.TopKStore`, the engine's result
-        cache) consumes directly; :meth:`recommend_batch` wraps it in
+        (cohort rows, the engine's result cache) consumes directly; :meth:`recommend_batch` wraps it in
         :class:`Recommendation` objects.
         """
         dataset = self._require_fitted()

@@ -144,8 +144,17 @@ class TransitionCache:
 
     # -- generic LRU ---------------------------------------------------------
 
-    def _get(self, entries: OrderedDict, key: tuple, builder, bound: int):
+    def _get(self, bfs: bool, key: tuple, builder):
+        """LRU lookup in the BFS (``bfs=True``) or component-group map.
+
+        The map and its bound are picked once, under the lock, and a miss is
+        inserted into that same map. :meth:`apply_update` rebinds both maps,
+        so an entry built from the old graph while an update lands goes into
+        the discarded map and never serves a read against the new one.
+        """
         with self._lock:
+            entries = self._bfs if bfs else self._groups
+            bound = self.max_bfs_entries if bfs else self.max_entries
             entry = entries.get(key)
             if entry is not None:
                 entries.move_to_end(key)
@@ -177,11 +186,9 @@ class TransitionCache:
         transition matrix.
         """
         if components is None:
-            return self._get(self._groups, self.GLOBAL_KEY, self._build_global,
-                             self.max_entries)
+            return self._get(False, self.GLOBAL_KEY, self._build_global)
         key = ("group",) + tuple(int(c) for c in components)
-        return self._get(self._groups, key,
-                         lambda: self._build_group(key[1:]), self.max_entries)
+        return self._get(False, key, lambda: self._build_group(key[1:]))
 
     def _finish_group(self, nodes: np.ndarray, transition: sp.csr_matrix,
                       labels: np.ndarray) -> TransitionGroup:
@@ -260,7 +267,7 @@ class TransitionCache:
             )
             return (sub, operator)
 
-        return self._get(self._bfs, key, build, self.max_bfs_entries)
+        return self._get(True, key, build)
 
     # -- incremental updates --------------------------------------------------
 

@@ -1,13 +1,11 @@
-"""Serving layer: stateful engine, precomputed stores, cohort serving jobs.
+"""Serving layer: stateful engine, cohort serving jobs, sharded fleets.
 
 Built on the batch scoring API (:meth:`repro.core.base.Recommender.score_users`
 / ``recommend_batch``): :class:`ServingEngine` loads a model artifact (or
 wraps a fitted recommender), owns the warm scoring caches plus an LRU result
 cache, and serves single queries and bounded-memory chunked cohorts with
 cache-hit stats and throughput (``result_cache_size=0`` makes it the
-stateless cohort job); :class:`TopKStore` precomputes every user's ranked
-list once and serves ``recommend(user, k)`` from a compact int32/float32
-cache with exclusion re-filtering;
+stateless cohort job);
 :class:`ShardPlan` partitions the graph by connected component into
 shards, score-exact for the walk family (or by edge-cut with k-hop halos,
 within a one-sided error bound).
@@ -49,7 +47,6 @@ from repro.service.sharding import (
     ShardPlan,
     validate_shard_events,
 )
-from repro.service.store import STORE_FORMAT_VERSION, TopKStore
 
 __all__ = [
     "BatchingServer",
@@ -65,10 +62,8 @@ __all__ = [
     "ServerReport",
     "ServingEngine",
     "SHARD_PLAN_FORMAT_VERSION",
-    "STORE_FORMAT_VERSION",
     "ShardPlan",
     "ShardedEngine",
-    "TopKStore",
     "UpdateReport",
     "load_event_file",
     "load_user_file",

@@ -12,15 +12,13 @@ keeps alive between requests. It owns:
 * a bounded LRU **result cache** of ranked ``(items, scores)`` rows keyed by
   ``(user, k, exclude_rated)``, so a user served twice is answered from
   int64 arrays without touching the model at all — duplicates inside one
-  cohort are deduplicated before solving and fanned back out;
-* optionally an attached :class:`~repro.service.store.TopKStore` for
-  microsecond single-user lookups with exclusion re-filtering.
+  cohort are deduplicated before solving and fanned back out.
 
 Every read goes through one path: :meth:`ServingEngine.recommend` is a
 one-request :meth:`~ServingEngine.recommend_many`, and both it and
 :meth:`~ServingEngine.serve_cohort` resolve rows through the same result-cache
-lookup (``result_cache_size=0`` only stops rows from being kept, so an
-uncached engine is the stateless cohort job).
+lookup, then the model (``result_cache_size=0`` only stops rows from being
+kept, so an uncached engine is the stateless cohort job).
 
 Every cohort run returns an :class:`EngineReport` whose summary carries the
 cache-hit statistics of both layers (entry counts included) plus per-stage
@@ -53,7 +51,6 @@ from repro.core.artifacts import load_artifact
 from repro.core.base import Recommendation, Recommender
 from repro.exceptions import ConfigError, NotFittedError
 from repro.service.serving import _label_array, rows_from_ranked_arrays
-from repro.service.store import TopKStore
 from repro.utils.timer import Timer, per_second
 from repro.utils.validation import (
     as_exclude_array,
@@ -171,9 +168,6 @@ class UpdateReport:
         set evicted from the result cache.
     result_rows_evicted:
         Ranked lists dropped from the result cache by this update.
-    store_detached:
-        True when an attached :class:`TopKStore` was dropped because its
-        precomputed lists predate the update (rebuild via ``build_store``).
     consolidated:
         True when this batch pushed ``pending_events`` over
         ``max_pending_events`` and the engine ran a full consolidation
@@ -196,7 +190,6 @@ class UpdateReport:
     model_version: int = 1
     n_affected_users: int | None = 0
     result_rows_evicted: int = 0
-    store_detached: bool = False
     consolidated: bool = False
     pending_events: int = 0
     seconds: float = 0.0
@@ -229,15 +222,6 @@ class ServingEngine:
     recommender:
         A fitted :class:`~repro.core.base.Recommender` (load one from disk
         with :meth:`from_artifact`).
-    store:
-        Optional precomputed :class:`TopKStore`; single-user queries go to it
-        first when it is deep enough for the requested ``k``.
-    store_exclude_rated:
-        The ``exclude_rated`` setting the attached store was *built* with
-        (default True, matching ``TopKStore.from_recommender``); the store
-        only answers requests whose ``exclude_rated`` matches, so a store
-        precomputed without exclusion can never leak rated items into an
-        excluding request. :meth:`build_store` records this automatically.
     result_cache_size:
         Bound on cached ranked lists (LRU-evicted beyond it); ``0`` keeps
         no rows, so every call recomputes (duplicates within one call are
@@ -256,8 +240,7 @@ class ServingEngine:
         the natural live-traffic semantics) or ``"error"``.
     """
 
-    def __init__(self, recommender: Recommender, store: TopKStore | None = None,
-                 store_exclude_rated: bool = True,
+    def __init__(self, recommender: Recommender,
                  result_cache_size: int = 65536,
                  max_pending_events: int | None = None,
                  update_duplicates: str = "last"):
@@ -270,14 +253,7 @@ class ServingEngine:
                 f"{type(recommender).__name__} must be fitted (or loaded from "
                 "an artifact) before serving"
             )
-        if store is not None and store.n_users != recommender.dataset.n_users:
-            raise ConfigError(
-                f"store has {store.n_users} users; model dataset has "
-                f"{recommender.dataset.n_users}"
-            )
         self.recommender = recommender
-        self.store = store
-        self.store_exclude_rated = bool(store_exclude_rated)
         self.result_cache_size = check_non_negative_int(
             result_cache_size, "result_cache_size"
         )
@@ -305,23 +281,20 @@ class ServingEngine:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def from_artifact(cls, path: str, store_path: str | None = None,
-                      mmap: bool = False, **kwargs) -> "ServingEngine":
-        """Boot an engine from a saved model artifact (+ optional store).
+    def from_artifact(cls, path: str, mmap: bool = False,
+                      **kwargs) -> "ServingEngine":
+        """Boot an engine from a saved model artifact.
 
         This is the online half of the offline-fit / online-serve split:
         ``repro.cli fit`` writes the artifact, ``repro.cli serve`` calls
         this. No training happens here. ``mmap=True`` memory-maps the
-        artifact's arrays (and the store's, when given) copy-on-write
-        instead of materialising them — boot cost drops to O(open) and
-        engines in separate processes share the physical pages; rankings
+        artifact's arrays copy-on-write instead of materialising them —
+        boot cost drops to O(open) and engines in separate processes share
+        the physical pages; rankings
         are bit-identical to an eager load (see
         :func:`~repro.core.artifacts.load_artifact`).
         """
-        recommender = load_artifact(path, mmap=mmap)
-        store = (TopKStore.load(store_path, mmap=mmap)
-                 if store_path is not None else None)
-        return cls(recommender, store=store, **kwargs)
+        return cls(load_artifact(path, mmap=mmap), **kwargs)
 
     @property
     def dataset(self):
@@ -426,20 +399,18 @@ class ServingEngine:
         (:class:`~repro.service.server.BatchingServer`) fans a drained
         admission queue into this call.
 
-        Each request resolves in order: the attached :class:`TopKStore`
-        (when deep enough for ``k`` plus its exclusions and built with the
-        same ``exclude_rated`` semantics — see ``store_exclude_rated``),
-        then the engine's result cache, then the model. An exclusion set
-        re-filters the ranked list the way the store does: banned items are
-        dropped and next-ranked ones take their place.
+        Each request resolves in order: the engine's result cache, then the
+        model, so the answer is the row ``recommend_batch_arrays`` produces
+        however the engine was built. An exclusion set re-filters the
+        ranked list: banned items are dropped and next-ranked ones take
+        their place.
 
-        Requests that miss the store are grouped by effective list depth
-        (``k + len(exclude)``), and each group is one
-        :meth:`_cached_arrays` call, so the uncached users of the whole
-        group are answered in a single multi-RHS solve (in-group duplicates
-        deduplicated by the result cache's lookup pass). A request's answer
-        is bit-identical whatever it is batched with (asserted in the test
-        suite).
+        Requests are grouped by effective list depth (``k + len(exclude)``),
+        and each group is one :meth:`_cached_arrays` call, so the uncached
+        users of the whole group are answered in a single multi-RHS solve
+        (in-group duplicates deduplicated by the result cache's lookup
+        pass). A request's answer is bit-identical whatever it is batched
+        with (asserted in the test suite).
         """
         users = list(users)
         if excludes is None:
@@ -457,13 +428,8 @@ class ServingEngine:
         banned = [as_exclude_array(exclude) for exclude in excludes]
         out: list = [None] * len(users)
         by_depth: dict[int, list[int]] = {}
-        for position, (user, bans) in enumerate(zip(users, banned)):
-            if (self.store is not None
-                    and exclude_rated == self.store_exclude_rated
-                    and self.store.depth >= k + bans.size):
-                out[position] = self.store.recommend(user, k, exclude=bans)
-            else:
-                by_depth.setdefault(k + int(bans.size), []).append(position)
+        for position, bans in enumerate(banned):
+            by_depth.setdefault(k + int(bans.size), []).append(position)
         for depth, positions in by_depth.items():
             cohort = np.asarray([int(users[p]) for p in positions],
                                 dtype=np.int64)
@@ -565,9 +531,8 @@ class ServingEngine:
         invalidation, and the engine evicts **only the affected users'**
         ranked lists from its result cache — everything else keeps serving
         warm, bit-identical to a from-scratch refit on the merged data (the
-        parity contract asserted in the test suite). An attached
-        :class:`TopKStore` predates the update and is detached (rebuild via
-        :meth:`build_store` when wanted). When ``max_pending_events`` is set
+        parity contract asserted in the test suite). When
+        ``max_pending_events`` is set
         and the absorbed-event count reaches it, the engine runs
         :meth:`consolidate` before returning.
 
@@ -595,9 +560,6 @@ class ServingEngine:
             report.result_rows_evicted = self._evict_results(
                 fit_report.affected_users
             )
-            if self.store is not None:
-                self.store = None
-                report.store_detached = True
             if fit_report.mode == "refit":
                 # The fallback already refit on the merged dataset — that IS
                 # a consolidation; restarting the staleness clock avoids an
@@ -651,22 +613,6 @@ class ServingEngine:
                 del self._results[key]
             return len(stale)
 
-    # -- store management ----------------------------------------------------
-
-    def build_store(self, depth: int = 50, batch_size: int = 256,
-                    exclude_rated: bool = True) -> TopKStore:
-        """Precompute and attach a :class:`TopKStore` for single-user traffic.
-
-        Records ``exclude_rated`` so :meth:`recommend` only routes to the
-        store requests with matching exclusion semantics.
-        """
-        self.store = TopKStore.from_recommender(
-            self.recommender, depth=depth, batch_size=batch_size,
-            exclude_rated=exclude_rated,
-        )
-        self.store_exclude_rated = bool(exclude_rated)
-        return self.store
-
     # -- introspection -------------------------------------------------------
 
     def clear_caches(self) -> None:
@@ -708,7 +654,7 @@ class ServingEngine:
         return {"status": "ok", "shards": []}
 
     def stats(self) -> dict:
-        """Lifetime cache counters of both layers plus store presence."""
+        """Lifetime cache counters of both layers."""
         with self._lock:
             return {
                 "result_entries": len(self._results),
@@ -716,7 +662,6 @@ class ServingEngine:
                 "result_misses": self.result_cache_misses,
                 "solves": self._solves,
                 "scoring_cache": self.recommender.scoring_cache_stats() or {},
-                "store_attached": self.store is not None,
                 "model_version": self.model_version,
                 "pending_events": self.pending_events,
             }
@@ -726,6 +671,5 @@ class ServingEngine:
             cached = len(self._results)
         return (
             f"ServingEngine(algorithm={self.recommender.name!r}, "
-            f"cached_results={cached}, "
-            f"store={'yes' if self.store is not None else 'no'})"
+            f"cached_results={cached})"
         )

@@ -266,6 +266,8 @@ def _worker_handle(engine, method: str, payload: dict,
     if method == "clear_caches":
         engine.clear_caches()
         return None
+    if method == "invalidate_user":
+        return engine.invalidate_user(payload["user"])
     raise ConfigError(f"unknown fleet worker method {method!r}")
 
 
@@ -847,6 +849,9 @@ class ProcessShardFleet(ShardRouter):
             "users": users, "k": k, "exclude_rated": exclude_rated,
             "excludes": excludes})
 
+    def _invalidate_shard(self, shard: int, user: int) -> int:
+        return self._request(shard, "invalidate_user", {"user": user})
+
     def _serve_shard(self, shard, users, k, batch_size, exclude_rated):
         result = self._request(shard, "serve_cohort", {
             "users": users, "k": k, "batch_size": batch_size,
@@ -1054,11 +1059,6 @@ class ProcessShardFleet(ShardRouter):
                 self._request(shard, "clear_caches", {})
             except ShardUnavailableError:
                 continue
-
-    def invalidate_user(self, user: int) -> int:
-        """Evict one global user's rows from the fleet row cache."""
-        self._locate_user(user)
-        return self._evict_user_rows(int(user))
 
     def health(self, ping: bool = False) -> dict:
         """Fleet health: ``status`` plus one row per shard.

@@ -300,6 +300,10 @@ class ShardRouter:
         """``(EngineReport, items, scores)``, items shard-local."""
         raise NotImplementedError
 
+    def _invalidate_shard(self, shard: int, user: int) -> int:
+        """Evict a shard-local user's result rows; returns how many."""
+        raise NotImplementedError
+
     def _validate_shard(self, shard: int, events: list,
                         duplicates: str | None) -> None:
         """Reject the shard's slice without mutating anything."""
@@ -546,7 +550,6 @@ class ShardRouter:
                     f"excludes has {len(excludes)} entries for "
                     f"{len(users)} users"
                 )
-        k = check_positive_int(k, "k")
         out: list = [None] * len(users)
         by_shard: dict[int, tuple[list, list, list]] = {}
         with self._routing_lock:
@@ -563,6 +566,7 @@ class ShardRouter:
                 positions.append(position)
                 local_users.append(int(self._user_local[user]))
                 local_bans.append(banned)
+        k = check_positive_int(k, "k")
         for shard, (positions, local_users, local_bans) in by_shard.items():
             try:
                 ranked_lists = self._recommend_shard(
@@ -913,13 +917,19 @@ class ShardRouter:
                 del self._rows[key]
             return len(stale)
 
-    def _evict_user_rows(self, user: int) -> int:
-        """Drop one global user's row-cache entries; returns how many."""
+    def invalidate_user(self, user: int) -> int:
+        """Evict one global user's rows: fleet row cache + shard cache.
+
+        Returns the number of entries the owning shard's engine dropped; a
+        down shard raises its :class:`~repro.exceptions.ShardUnavailableError`
+        after the fleet rows are gone.
+        """
+        shard, local = self._locate_user(user)
         with self._lock:
-            stale = [key for key in self._rows if key[0] == user]
+            stale = [key for key in self._rows if key[0] == int(user)]
             for key in stale:
                 del self._rows[key]
-            return len(stale)
+        return self._invalidate_shard(shard, local)
 
     def _clear_rows(self) -> None:
         with self._lock:

@@ -1010,6 +1010,9 @@ class ShardedEngine(ShardRouter):
         return [[(r.item, r.label, r.score) for r in ranked]
                 for ranked in ranked_lists]
 
+    def _invalidate_shard(self, shard, user):
+        return self.engines[shard].invalidate_user(user)
+
     def _serve_shard(self, shard, users, k, batch_size, exclude_rated):
         report, _, items, scores = self.engines[shard]._serve_cohort_arrays(
             users, k=k, batch_size=batch_size, exclude_rated=exclude_rated)
@@ -1065,12 +1068,6 @@ class ShardedEngine(ShardRouter):
         self._clear_rows()
         for engine in self.engines:
             engine.clear_caches()
-
-    def invalidate_user(self, user: int) -> int:
-        """Evict one global user's rows: fleet row cache + shard cache."""
-        shard, local = self._locate_user(user)
-        self._evict_user_rows(int(user))
-        return self.engines[shard].invalidate_user(local)
 
     def health(self) -> dict:
         """Per-shard health, in the shape the HTTP ``/health`` probe serves.

@@ -77,15 +77,13 @@ class TestFitServe:
 
     def test_fit_then_serve_roundtrip(self, tmp_path, capsys):
         artifact = str(tmp_path / "model.npz")
-        store = str(tmp_path / "store.npz")
         assert main(["fit", "--algorithm", "AT", "--scale", "0.15",
-                     "--out", artifact, "--store-out", store,
-                     "--store-depth", "12"]) == 0
+                     "--out", artifact]) == 0
         out = capsys.readouterr().out
-        assert "artifact" in out and "store" in out
+        assert "artifact" in out
 
         served_csv = str(tmp_path / "served.csv")
-        assert main(["serve", "--artifact", artifact, "--store", store,
+        assert main(["serve", "--artifact", artifact,
                      "--n-users", "6", "--k", "3", "--repeat", "2",
                      "--out", served_csv]) == 0
         out = capsys.readouterr().out
@@ -125,18 +123,6 @@ class TestOperatorErrors:
             ["serve-http", "--shards", str(tmp_path / "no-fleet"),
              "--port", "0", "--self-test", "1"],
             "not a sharded-artifact directory")
-
-    def test_serve_missing_store(self, tmp_path, capsys):
-        artifact = str(tmp_path / "model.npz")
-        assert main(["fit", "--algorithm", "AT", "--scale", "0.15",
-                     "--out", artifact]) == 0
-        capsys.readouterr()
-        self._assert_clean_failure(
-            capsys,
-            ["serve", "--artifact", artifact,
-             "--store", str(tmp_path / "absent-store.npz"),
-             "--n-users", "2"],
-            "cannot read top-K store")
 
     def test_update_missing_artifact(self, tmp_path, capsys):
         events = tmp_path / "events.log"

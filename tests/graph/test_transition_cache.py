@@ -265,6 +265,27 @@ class TestTargetedInvalidation:
         assert cache.apply_update(update2)["invalidated_bfs"] == 1
         assert cache.stats()["bfs_entries"] == 0
 
+    @pytest.mark.parametrize("bfs", [False, True])
+    def test_entry_built_across_an_update_is_not_kept(self, multi_component,
+                                                       bfs):
+        # A miss builds outside the lock; an update landing mid-build must
+        # not let the old-graph entry into the maps the update installed.
+        dataset, graph = multi_component
+        cache = TransitionCache(graph)
+        _, update = self._update(dataset, graph, [("brand-new", "i00", 2.0)])
+        stale = object()
+
+        def build_then_update():
+            cache.apply_update(update)
+            return stale
+
+        assert cache._get(bfs, ("k",), build_then_update) is stale
+        assert cache.graph is update.graph
+        assert len(cache) == 0
+        fresh = object()
+        assert cache._get(bfs, ("k",), lambda: fresh) is fresh
+        assert cache._get(bfs, ("k",), lambda: stale) is fresh
+
     def test_entropy_vector_swapped_and_validated(self, multi_component):
         dataset, graph = multi_component
         cache = TransitionCache(graph)

@@ -14,7 +14,7 @@ from repro import (
     ServingEngine,
 )
 from repro.exceptions import ConfigError, NotFittedError, UnknownUserError
-from repro.service import EngineReport, TopKStore, rows_from_ranked_arrays
+from repro.service import EngineReport, rows_from_ranked_arrays
 
 
 def stateless_rows(recommender, users, k):
@@ -43,11 +43,6 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             ServingEngine("not a model")
 
-    def test_store_shape_validated(self, fitted_at):
-        bad = TopKStore(np.array([[0]]), np.zeros((1, 1)), ("a", "b"))
-        with pytest.raises(ConfigError, match="users"):
-            ServingEngine(fitted_at, store=bad)
-
     def test_from_artifact(self, fitted_at, tmp_path):
         path = fitted_at.save(str(tmp_path / "model"))
         engine = ServingEngine.from_artifact(path)
@@ -56,14 +51,22 @@ class TestConstruction:
         served = [r.item for r in engine.recommend(3, k=5)]
         assert original == served
 
-    def test_from_artifact_with_store(self, fitted_at, tmp_path):
-        model_path = fitted_at.save(str(tmp_path / "model"))
-        store_path = str(tmp_path / "store.npz")
-        TopKStore.from_recommender(fitted_at, depth=20).save(store_path)
-        engine = ServingEngine.from_artifact(model_path, store_path=store_path)
-        assert engine.store is not None
-        assert [r.item for r in engine.recommend(3, k=5)] == \
-            [r.item for r in fitted_at.recommend(3, k=5)]
+    def test_answer_is_the_batch_row_however_booted(self, fitted_at,
+                                                    tmp_path):
+        # Every read resolves through the result cache, then the model: an
+        # answer is exactly recommend_batch_arrays' float64 row, cold or
+        # warm, eager or memory-mapped.
+        path = fitted_at.save(str(tmp_path / "model"))
+        users = [0, 7, 3, 7]
+        items, scores = fitted_at.recommend_batch_arrays(users, k=6)
+        for engine in (ServingEngine(fitted_at),
+                       ServingEngine.from_artifact(path, mmap=True)):
+            for _ in range(2):
+                for row, ranked in enumerate(engine.recommend_many(users, k=6)):
+                    keep = items[row] >= 0
+                    assert [r.item for r in ranked] == items[row][keep].tolist()
+                    assert [r.score for r in ranked] == \
+                        scores[row][keep].tolist()
 
 
 class TestCohortServing:
@@ -173,47 +176,18 @@ class TestSingleQuery:
         with pytest.raises(ConfigError, match="k"):
             engine.recommend_many([0, 1], k=0)
 
-    def test_exclude_iterator_respected_with_store(self, fitted_at):
-        # A one-shot iterable must not be exhausted before the store sees it.
-        engine = ServingEngine(fitted_at)
-        engine.build_store(depth=20)
-        full = [r.item for r in engine.recommend(4, k=8)]
-        refiltered = [r.item for r in engine.recommend(4, k=8,
-                                                       exclude=iter(full[:2]))]
-        assert set(full[:2]).isdisjoint(refiltered)
-        assert refiltered[:6] == full[2:8]
-
-    def test_store_with_other_exclusion_semantics_bypassed(self, fitted_at,
-                                                           small_synth):
-        engine = ServingEngine(fitted_at)
-        engine.build_store(depth=20, exclude_rated=False)
-        rated = set(small_synth.dataset.items_of_user(9).tolist())
-        # Request asks for exclusion; the non-excluding store must not answer.
-        served = [r.item for r in engine.recommend(9, k=8)]
-        assert rated.isdisjoint(served)
-        assert served == [r.item for r in fitted_at.recommend(9, k=8)]
-        # A matching (non-excluding) request may use the store.
+    def test_exclude_rated_semantics_kept_apart(self, engine, fitted_at,
+                                                small_synth):
+        # Both settings share one result cache; neither may answer the other.
         unfiltered = [r.item for r in engine.recommend(9, k=8,
                                                        exclude_rated=False)]
+        served = [r.item for r in engine.recommend(9, k=8)]
+        rated = set(small_synth.dataset.items_of_user(9).tolist())
+        assert rated.isdisjoint(served)
+        assert served == [r.item for r in fitted_at.recommend(9, k=8)]
         assert unfiltered == [
             r.item for r in fitted_at.recommend(9, k=8, exclude_rated=False)
         ]
-
-    def test_store_answers_when_deep_enough(self, fitted_at):
-        engine = ServingEngine(fitted_at)
-        engine.build_store(depth=20)
-        assert engine.stats()["store_attached"]
-        assert [r.item for r in engine.recommend(9, k=5)] == \
-            [r.item for r in fitted_at.recommend(9, k=5)]
-        # No result-cache traffic: the store answered.
-        assert engine.result_cache_misses == 0
-
-    def test_shallow_store_falls_back_to_model(self, fitted_at):
-        engine = ServingEngine(fitted_at, store=TopKStore.from_recommender(
-            fitted_at, depth=3))
-        assert [r.item for r in engine.recommend(9, k=8)] == \
-            [r.item for r in fitted_at.recommend(9, k=8)]
-        assert engine.result_cache_misses == 1
 
 
 class TestWarmAndStats:
@@ -348,13 +322,6 @@ class TestInputHygiene:
             engine.recommend(True)
         with pytest.raises(UnknownUserError):
             engine.recommend(False)
-
-    def test_bool_user_rejected_with_store(self, fitted_at):
-        engine = ServingEngine(fitted_at,
-                               store=TopKStore.from_recommender(fitted_at,
-                                                                depth=15))
-        with pytest.raises(UnknownUserError):
-            engine.recommend(True)
 
     def test_empty_exclude_variants(self, engine):
         base = [r.item for r in engine.recommend(3, k=5)]

@@ -106,12 +106,6 @@ class TestApplyUpdates:
         with pytest.raises(DataError, match="already rated"):
             engine.apply_updates([("A0", rated_item, 3.0)], duplicates="error")
 
-    def test_store_detached_on_update(self, warm_engine):
-        dataset, engine = warm_engine
-        engine.build_store(depth=6)
-        report = engine.apply_updates(EVENTS)
-        assert report.store_detached and engine.store is None
-
     def test_consolidation_at_max_pending(self):
         dataset = _blocks_dataset()
         engine = ServingEngine(

@@ -106,6 +106,24 @@ class TestServingParity:
         with pytest.raises(UnknownUserError):
             fleet.recommend(federated.n_users + 50, k=3)
 
+    def test_invalidate_user_matches_in_process(self, fleet, inproc):
+        # Both transports evict the fleet row and the shard engine's entry
+        # and return the shard engine's count.
+        inproc.clear_caches()
+        shard = inproc.shard_of_user(0)
+        for tier in (fleet, inproc):
+            tier.warm(k=10)
+        dropped = [tier.invalidate_user(0) for tier in (fleet, inproc)]
+        assert dropped == [1, 1]
+        stats = [tier.stats() for tier in (fleet, inproc)]
+        assert stats[0]["row_entries"] == stats[1]["row_entries"]
+        assert stats[0]["shards"][shard]["result_entries"] \
+            == stats[1]["shards"][shard]["result_entries"]
+        assert [tier.invalidate_user(0) for tier in (fleet, inproc)] == [0, 0]
+        fleet.close()
+        with pytest.raises(ShardUnavailableError):
+            fleet.invalidate_user(0)
+
     def test_row_cache_serves_second_pass(self, federated, fleet):
         cohort = np.arange(min(32, federated.n_users))
         cold = fleet.serve_cohort(cohort, k=10)

@@ -28,7 +28,7 @@ from repro.exceptions import (
     OverloadedError,
     UnknownUserError,
 )
-from repro.service import BatchingServer, HttpFrontend, TopKStore
+from repro.service import BatchingServer, HttpFrontend
 
 
 @pytest.fixture(scope="module")
@@ -97,14 +97,6 @@ class TestRecommendMany:
         for user, ranked in zip(users, batched):
             assert_same_rankings(
                 ranked, engine.recommend(user, k=5, exclude_rated=False))
-
-    def test_store_backed_engine(self, fitted_at, small_synth):
-        store = TopKStore.from_recommender(fitted_at, depth=30)
-        engine = ServingEngine(fitted_at, store=store)
-        users = list(range(0, small_synth.dataset.n_users, 5))
-        batched = engine.recommend_many(users, k=6)
-        for user, ranked in zip(users, batched):
-            assert_same_rankings(ranked, engine.recommend(user, k=6))
 
     def test_sharded_fleet(self, fleet):
         users = list(range(0, fleet.n_users, 4))

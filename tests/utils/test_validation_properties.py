@@ -5,8 +5,7 @@ same line between "a user/item index" and "something that merely converts
 to one" (booleans, fractional floats, nested arrays). Hypothesis drives
 adversarial inputs through :func:`as_index_array` / :func:`as_exclude_array`
 / ``RatingDataset._check_user`` directly, then through the stacked entry
-points — :class:`TopKStore`, :class:`ServingEngine`,
-:class:`ShardedEngine` — asserting they all agree: an input is either
+points — :class:`ServingEngine` and :class:`ShardedEngine` — asserting they all agree: an input is either
 accepted by every tier or rejected by every tier with a typed error.
 
 ``derandomize=True`` keeps the suite seeded/deterministic in CI while
@@ -25,7 +24,6 @@ from repro import (
 )
 from repro.data.synthetic import federated_dataset
 from repro.exceptions import ConfigError, ReproError, UnknownUserError
-from repro.service import TopKStore
 from repro.utils.validation import as_exclude_array, as_index_array, is_index
 
 SETTINGS = dict(max_examples=60, deadline=None, derandomize=True)
@@ -207,13 +205,12 @@ class TestScalarIndexGate:
 
 @pytest.fixture(scope="module")
 def tiers():
-    """The three serving tiers over one dataset: engine, store, fleet."""
+    """The serving tiers over one dataset: engine and fleet."""
     data = federated_dataset(3, scale=0.1, seed=5)
     fitted = AbsorbingTimeRecommender().fit(data)
     engine = ServingEngine(fitted)
-    store = TopKStore.from_recommender(fitted, depth=20)
     fleet = ShardedEngine.fit(data, AbsorbingTimeRecommender, n_shards=2)
-    return engine, store, fleet
+    return engine, fleet
 
 
 def outcome(func):
@@ -230,10 +227,9 @@ class TestEntryPointConsistency:
     @given(st.integers(min_value=-5, max_value=200) | booleans
            | st.sampled_from([np.int32(1), np.int64(0), 1.0, 2.5, None]))
     def test_user_argument_verdicts_agree(self, tiers, user):
-        engine, store, fleet = tiers
+        engine, fleet = tiers
         verdicts = {
             "engine": outcome(lambda: engine.recommend(user, k=3)),
-            "store": outcome(lambda: store.recommend(user, k=3)),
             "fleet": outcome(lambda: fleet.recommend(user, k=3)),
         }
         assert len(set(verdicts.values())) == 1, verdicts
@@ -253,14 +249,12 @@ class TestEntryPointConsistency:
         st.sampled_from([[], (), np.empty(0), 3, "0,1"]),
     ))
     def test_exclude_argument_verdicts_agree(self, tiers, exclude):
-        engine, store, fleet = tiers
+        engine, fleet = tiers
         if isinstance(exclude, set):
-            exclude = list(exclude)  # same object for all three tiers
+            exclude = list(exclude)  # same object for both tiers
         verdicts = {
             "engine": outcome(
                 lambda: engine.recommend(0, k=3, exclude=exclude)),
-            "store": outcome(
-                lambda: store.recommend(0, k=3, exclude=exclude)),
             "fleet": outcome(
                 lambda: fleet.recommend(0, k=3, exclude=exclude)),
         }
@@ -270,7 +264,7 @@ class TestEntryPointConsistency:
     @given(st.lists(st.integers(min_value=0, max_value=30),
                     min_size=1, max_size=6))
     def test_accepted_excludes_actually_drop_items(self, tiers, exclude):
-        engine, store, fleet = tiers
-        for tier in (engine, store, fleet):
+        engine, fleet = tiers
+        for tier in (engine, fleet):
             served = tier.recommend(0, k=5, exclude=exclude)
             assert not {r.item for r in served} & set(exclude)
