@@ -16,9 +16,11 @@ and measures exactly that trade:
 * **open loop** — Poisson arrivals at a rate calibrated from the measured
   batched throughput, the arrival process independent of completions;
   latency percentiles and the queue high-water mark land in the payload.
-* **overload** — a deliberate stampede at a tiny admission queue: the
-  books must balance exactly (accepted + shed == fired, shed requests all
-  typed :class:`~repro.exceptions.OverloadedError`, nothing hangs).
+* **overload** — a deliberate stampede of cold requests at a tiny
+  admission queue (cache hits are answered inline and never shed, so the
+  caches are cleared first): the books must balance exactly (accepted +
+  shed == fired, shed requests all typed
+  :class:`~repro.exceptions.OverloadedError`, nothing hangs).
 
 Asserted: every batched response is **bit-identical** to direct
 ``engine.recommend`` (items, labels, scores); overload accounting is
@@ -107,7 +109,12 @@ def _open_loop(engine, users, rate_per_s, rng):
 
 
 def _overload(engine):
-    """A stampede against a tiny queue: exact typed shedding, no hangs."""
+    """A stampede against a tiny queue: exact typed shedding, no hangs.
+
+    The caches are cleared first: a cached user is answered inline at
+    admission and never shed, so a warm stampede would test nothing.
+    """
+    engine.clear_caches()
 
     async def scenario():
         async with BatchingServer(engine, max_batch_size=MAX_BATCH,
@@ -162,6 +169,7 @@ def test_server_throughput_parity_and_shedding():
     shed = [r for r in overload_results if isinstance(r, OverloadedError)]
     served = [r for r in overload_results if isinstance(r, list)]
     assert len(shed) + len(served) == OVERLOAD_FIRED  # nothing hung/vanished
+    assert len(shed) > 0  # the stampede actually overflowed the queue
     assert overload_report.n_rejected_overload == len(shed)
     assert overload_report.n_accepted == len(served)
     assert overload_report.n_completed == len(served)

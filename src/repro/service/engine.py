@@ -19,6 +19,9 @@ one-request :meth:`~ServingEngine.recommend_many`, and both it and
 :meth:`~ServingEngine.serve_cohort` resolve rows through the same result-cache
 lookup, then the model (``result_cache_size=0`` only stops rows from being
 kept, so an uncached engine is the stateless cohort job).
+:meth:`~ServingEngine.lookup_many` is the same lookup without the model: it
+answers what the cache holds and ``None`` for the rest, so a front end can
+reply to hits at once and batch only the misses.
 
 Every cohort run returns an :class:`EngineReport` whose summary carries the
 cache-hit statistics of both layers (entry counts included) plus per-stage
@@ -316,6 +319,22 @@ class ServingEngine:
 
     # -- result cache --------------------------------------------------------
 
+    def _lookup_locked(self, keys: list[tuple]) -> list:
+        """Each key's cached ``(items, scores)`` row, or ``None`` on a miss.
+
+        The caller holds ``_lock``. A hit refreshes its LRU position and
+        counts in ``result_cache_hits``; a miss is left for the caller to
+        count, because only the caller knows whether it will be solved.
+        """
+        entries = []
+        for key in keys:
+            entry = self._results.get(key)
+            if entry is not None:
+                self._results.move_to_end(key)
+                self.result_cache_hits += 1
+            entries.append(entry)
+        return entries
+
     def _cached_arrays(self, users: np.ndarray, k: int, exclude_rated: bool,
                        timings: dict | None = None,
                        ) -> tuple[np.ndarray, np.ndarray]:
@@ -330,18 +349,15 @@ class ServingEngine:
         ``lookup`` and ``solve`` seconds.
         """
         start = time.perf_counter()
-        hits: list[tuple[int, tuple[np.ndarray, np.ndarray]]] = []
+        cohort_users = users.tolist()
         missing: dict[int, int] = {}  # uncached user -> its row in the solve
         miss_rows: list[int] = []  # cohort rows the solve answers
         solve_rows: list[int] = []  # the solve row for each of miss_rows
         with self._lock:
-            for row, user in enumerate(users.tolist()):
-                key = (user, k, exclude_rated)
-                entry = self._results.get(key)
+            entries = self._lookup_locked(
+                [(user, k, exclude_rated) for user in cohort_users])
+            for row, (user, entry) in enumerate(zip(cohort_users, entries)):
                 if entry is not None:
-                    self._results.move_to_end(key)
-                    hits.append((row, entry))
-                    self.result_cache_hits += 1
                     continue
                 if user in missing:
                     self.result_cache_hits += 1  # duplicate within this cohort
@@ -352,8 +368,9 @@ class ServingEngine:
                 solve_rows.append(missing[user])
         items = np.full((users.size, k), -1, dtype=np.int64)
         scores = np.full((users.size, k), -np.inf)
-        for row, (row_items, row_scores) in hits:
-            items[row], scores[row] = row_items, row_scores
+        for row, entry in enumerate(entries):
+            if entry is not None:
+                items[row], scores[row] = entry
         solve_seconds = 0.0
         if missing:
             version = self.model_version
@@ -412,6 +429,49 @@ class ServingEngine:
         pass). A request's answer is bit-identical whatever it is batched
         with (asserted in the test suite).
         """
+        users, k, banned = self._requests(users, k, excludes)
+        out: list = [None] * len(users)
+        by_depth: dict[int, list[int]] = {}
+        for position, bans in enumerate(banned):
+            by_depth.setdefault(k + int(bans.size), []).append(position)
+        for depth, positions in by_depth.items():
+            cohort = np.asarray([int(users[p]) for p in positions],
+                                dtype=np.int64)
+            items, scores = self._cached_arrays(cohort, depth, exclude_rated)
+            for row, position in enumerate(positions):
+                out[position] = self._ranked_row(items[row], scores[row],
+                                                 banned[position], k)
+        return out
+
+    def lookup_many(self, users, k: int = 10, exclude_rated: bool = True,
+                    excludes=None) -> list[list[Recommendation] | None]:
+        """The answers the result cache already holds, without solving.
+
+        Takes :meth:`recommend_many`'s arguments and returns, per position,
+        exactly the list :meth:`recommend_many` would return, or ``None``
+        when that request's ranked row is not cached. Nothing is scored, so
+        the call costs one locked dict pass; the micro-batching front end
+        answers hits with it at admission and queues only the misses.
+
+        A hit counts in ``result_cache_hits``; a miss is not counted here,
+        because the :meth:`recommend_many` call that then solves it counts
+        it — each request is counted exactly once. An engine with
+        ``result_cache_size=0`` keeps no rows and answers every position
+        ``None`` without taking the lock.
+        """
+        users, k, banned = self._requests(users, k, excludes)
+        if not self.result_cache_size:
+            return [None] * len(users)
+        with self._lock:
+            entries = self._lookup_locked(
+                [(int(user), k + int(bans.size), exclude_rated)
+                 for user, bans in zip(users, banned)])
+        return [None if entry is None else self._ranked_row(*entry, bans, k)
+                for entry, bans in zip(entries, banned)]
+
+    def _requests(self, users, k: int, excludes,
+                  ) -> tuple[list, int, list[np.ndarray]]:
+        """Validated ``(users, k, banned)`` of a batch of requests."""
         users = list(users)
         if excludes is None:
             excludes = [None] * len(users)
@@ -425,28 +485,19 @@ class ServingEngine:
         for user in users:
             self.dataset._check_user(user)
         k = check_positive_int(k, "k")
-        banned = [as_exclude_array(exclude) for exclude in excludes]
-        out: list = [None] * len(users)
-        by_depth: dict[int, list[int]] = {}
-        for position, bans in enumerate(banned):
-            by_depth.setdefault(k + int(bans.size), []).append(position)
-        for depth, positions in by_depth.items():
-            cohort = np.asarray([int(users[p]) for p in positions],
-                                dtype=np.int64)
-            items, scores = self._cached_arrays(cohort, depth, exclude_rated)
-            for row, position in enumerate(positions):
-                row_items, row_scores = items[row], scores[row]
-                keep = row_items >= 0
-                bans = banned[position]
-                if bans.size:
-                    keep &= ~np.isin(row_items, bans)
-                row_items = row_items[keep][:k]
-                row_scores = row_scores[keep][:k]
-                out[position] = [
-                    Recommendation(int(i), self._labels[int(i)], float(s))
-                    for i, s in zip(row_items, row_scores)
-                ]
-        return out
+        return users, k, [as_exclude_array(exclude) for exclude in excludes]
+
+    def _ranked_row(self, row_items: np.ndarray, row_scores: np.ndarray,
+                    bans: np.ndarray, k: int) -> list[Recommendation]:
+        """One request's answer from its ranked row of depth ``k + |bans|``:
+        padding and banned items dropped, cut to ``k``, labels attached."""
+        keep = row_items >= 0
+        if bans.size:
+            keep &= ~np.isin(row_items, bans)
+        return [
+            Recommendation(int(i), self._labels[int(i)], float(s))
+            for i, s in zip(row_items[keep][:k], row_scores[keep][:k])
+        ]
 
     def _serve_cohort_arrays(self, users, k: int = 10, batch_size: int = 256,
                              exclude_rated: bool = True,

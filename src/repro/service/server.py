@@ -16,10 +16,15 @@ computes.
 
 The pieces:
 
-* :class:`BatchingServer` — the asyncio core. Admission is **bounded**:
-  when the queue holds ``max_queue`` pending requests, new arrivals are
+* :class:`BatchingServer` — the asyncio core. A request whose answer the
+  engine's result cache already holds is answered **inline** at admission,
+  through the engine's non-solving ``lookup_many`` probe: a hit has nothing
+  to coalesce, so it never waits in the queue or the straggler window.
+  Only misses are queued. Admission is **bounded**:
+  when the queue holds ``max_queue`` pending requests, new misses are
   shed with a typed :class:`~repro.exceptions.OverloadedError` (count them,
-  retry elsewhere — never an unbounded backlog). Each request can carry a
+  retry elsewhere — never an unbounded backlog); a hit holds no queue slot
+  and is never shed. Each request can carry a
   deadline (``timeout_ms``, per-request or server-default); a miss raises
   :class:`~repro.exceptions.DeadlineExceededError` and the batching loop
   skips the abandoned request before solving. Solves run on a dedicated
@@ -37,6 +42,8 @@ The pieces:
 
 Works unchanged over a :class:`~repro.service.ServingEngine` or a
 :class:`~repro.service.ShardedEngine` — both implement ``recommend_many``.
+Only ``ServingEngine`` has the ``lookup_many`` probe; the sharded tiers
+queue every request.
 ``benchmarks/bench_server.py`` drives the whole stack with a seeded
 closed+open-loop load generator and commits ``BENCH_server.json``.
 """
@@ -108,25 +115,29 @@ class ServerReport:
     Attributes
     ----------
     n_accepted:
-        Requests admitted to the queue (every one of these resolved as
-        completed, failed, or deadline-rejected — nothing is dropped
-        silently).
+        Requests admitted, inline hits included (every one of these
+        resolved as completed, failed, or deadline-rejected — nothing is
+        dropped silently).
     n_completed / n_failed:
-        Requests answered with a ranked list / failed with an engine-side
-        error fanned back to the caller.
+        Requests answered with a ranked list (inline hits included) /
+        failed with an engine-side error fanned back to the caller.
     n_rejected_overload / n_rejected_deadline:
         Typed rejections: shed at admission (queue full) / abandoned on a
         missed deadline. ``n_rejected_deadline`` counts requests that were
         admitted first, so the books balance as
         ``accepted == completed + failed + deadline + in-flight``.
+    inline_hits:
+        Requests answered at admission from the engine's result cache,
+        without entering the queue; each also counts in ``n_accepted`` and
+        ``n_completed``, and its latency joins the latency window.
     n_batches / batch_sizes:
         Cohort solves run, and the exact histogram of their sizes
         (``{size: count}``, abandoned requests excluded) — the direct
         evidence of how well arrivals coalesce.
     latency_ms_* :
-        Percentiles/mean/max over the completed requests' enqueue→response
-        wall-clock, in milliseconds, computed over a bounded window of the
-        most recent ``latency_window`` samples.
+        Percentiles/mean/max over the completed requests' admission→response
+        wall-clock (measured after validation), in milliseconds, computed
+        over a bounded window of the most recent ``latency_window`` samples.
     queue_depth / max_queue_depth:
         Pending requests at snapshot time, and the high-water mark.
     seconds:
@@ -138,6 +149,7 @@ class ServerReport:
     n_failed: int = 0
     n_rejected_overload: int = 0
     n_rejected_deadline: int = 0
+    inline_hits: int = 0
     n_batches: int = 0
     batch_sizes: dict = field(default_factory=dict)
     latency_ms_p50: float = 0.0
@@ -169,6 +181,7 @@ class ServerReport:
             "failed": self.n_failed,
             "rejected_overload": self.n_rejected_overload,
             "rejected_deadline": self.n_rejected_deadline,
+            "inline_hits": self.inline_hits,
             "batches": self.n_batches,
             "mean_batch": round(self.mean_batch_size, 2),
             "batch_sizes": {str(size): count
@@ -199,6 +212,7 @@ class ServerReport:
             n_failed=int(payload["failed"]),
             n_rejected_overload=int(payload["rejected_overload"]),
             n_rejected_deadline=int(payload["rejected_deadline"]),
+            inline_hits=int(payload["inline_hits"]),
             n_batches=int(payload["batches"]),
             batch_sizes={int(size): int(count)
                          for size, count in payload["batch_sizes"].items()},
@@ -237,20 +251,25 @@ class BatchingServer:
         A :class:`~repro.service.ServingEngine` or
         :class:`~repro.service.ShardedEngine` — anything exposing the
         ``recommend_many`` batch hook (and per-user validation via
-        ``_check_user``/``dataset._check_user``).
+        ``_check_user``/``dataset._check_user``). An engine that also
+        exposes the non-solving ``lookup_many`` probe (``ServingEngine``
+        does) has its result-cache hits answered inline at admission; only
+        its misses are queued and batched.
     max_batch_size:
         Most requests coalesced into one solve. ``1`` disables batching —
         the configuration the bench uses as its baseline.
     max_delay_ms:
         Longest the batching loop waits for stragglers after the first
         request of a batch arrives. ``0`` drains only what is already
-        queued. This is the knob trading tail latency (each request can
-        wait up to one delay window) for throughput (bigger cohorts per
-        solve).
+        queued. This is the knob trading tail latency (each queued request
+        can wait up to one delay window) for throughput (bigger cohorts per
+        solve); inline hits never wait it out.
     max_queue:
-        Bound on pending admitted requests. Arrivals beyond it are shed at
-        admission with :class:`~repro.exceptions.OverloadedError` — load
-        shedding is explicit and counted, memory stays bounded.
+        Bound on pending admitted requests, i.e. on the solve backlog.
+        Misses beyond it are shed at admission with
+        :class:`~repro.exceptions.OverloadedError` — load shedding is
+        explicit and counted, memory stays bounded. Inline hits take no
+        queue slot and are never shed.
     timeout_ms:
         Default per-request deadline (``None`` = wait forever). A request
         that misses it gets :class:`~repro.exceptions.DeadlineExceededError`;
@@ -261,7 +280,9 @@ class BatchingServer:
 
     Use as an async context manager, or call :meth:`start` / :meth:`stop`.
     All methods must be called from the event loop that started the
-    server; the engine solve itself runs on a dedicated worker thread.
+    server; the engine solve itself runs on a dedicated worker thread. The
+    inline probe runs on the event loop and holds only the engine's result
+    cache lock, which no solve holds while it scores.
     """
 
     def __init__(self, engine, max_batch_size: int = 32,
@@ -274,6 +295,8 @@ class BatchingServer:
                 "pass a ServingEngine or ShardedEngine"
             )
         self.engine = engine
+        probe = getattr(engine, "lookup_many", None)
+        self._probe = probe if callable(probe) else None
         self.max_batch_size = check_positive_int(max_batch_size,
                                                  "max_batch_size")
         if isinstance(max_delay_ms, bool) or not isinstance(
@@ -303,6 +326,7 @@ class BatchingServer:
         self.n_failed = 0
         self.n_rejected_overload = 0
         self.n_rejected_deadline = 0
+        self.inline_hits = 0
         self.n_batches = 0
         self.batch_sizes: Counter = Counter()
         self.max_queue_depth = 0
@@ -347,13 +371,15 @@ class BatchingServer:
     async def recommend(self, user: int, k: int = 10,
                         exclude_rated: bool = True, exclude=None,
                         timeout_ms: float | None = None):
-        """Top-``k`` for one user through the admission queue.
+        """Top-``k`` for one user: inline on a cache hit, else queued.
 
         Validation runs synchronously at admission (a malformed request is
-        the caller's error, never the batch's), backpressure is applied
-        here (queue full → :class:`~repro.exceptions.OverloadedError`),
-        and the returned list is bit-identical to
-        ``engine.recommend(user, k, exclude_rated, exclude)``.
+        the caller's error, never the batch's). Then the engine's
+        ``lookup_many`` probe, when it has one, answers a result-cache hit
+        at once, without a queue slot. A miss meets backpressure here
+        (queue full → :class:`~repro.exceptions.OverloadedError`) and
+        waits for its batch. Either way the returned list is bit-identical
+        to ``engine.recommend(user, k, exclude_rated, exclude)``.
         ``timeout_ms`` overrides the server default for this request.
         """
         if not self._running:
@@ -366,6 +392,16 @@ class BatchingServer:
         if checker is None:
             checker = self.engine.dataset._check_user
         checker(user)
+        if self._probe is not None:
+            started = time.perf_counter()
+            ranked = self._probe([user], k=k, exclude_rated=bool(exclude_rated),
+                                 excludes=[banned])[0]
+            if ranked is not None:
+                self.n_accepted += 1
+                self.n_completed += 1
+                self.inline_hits += 1
+                self._record(time.perf_counter() - started)
+                return ranked
         if self._queue.qsize() >= self.max_queue:
             self.n_rejected_overload += 1
             raise OverloadedError(
@@ -504,6 +540,7 @@ class BatchingServer:
             n_failed=self.n_failed,
             n_rejected_overload=self.n_rejected_overload,
             n_rejected_deadline=self.n_rejected_deadline,
+            inline_hits=self.inline_hits,
             n_batches=self.n_batches,
             batch_sizes=dict(self.batch_sizes),
             latency_ms_p50=percentile(samples_ms, 50),

@@ -350,3 +350,67 @@ class TestInputHygiene:
             engine.serve_cohort([3, True], k=3)
         with pytest.raises(ConfigError, match="boolean"):
             engine.recommender.recommend_batch([3, True], k=3)
+
+
+def ranked_tuples(ranked):
+    return [(r.item, r.label, r.score) for r in ranked]
+
+
+class TestLookupMany:
+    """The non-solving probe: cached answers only, counted exactly once."""
+
+    def test_miss_returns_none_and_never_solves(self, engine):
+        assert engine.lookup_many([0, 1], k=4) == [None, None]
+        stats = engine.stats()
+        assert stats["solves"] == 0
+        assert stats["result_hits"] == stats["result_misses"] == 0
+
+    @pytest.mark.parametrize("k, exclude, exclude_rated", [
+        (3, None, True), (7, None, True), (4, [1, 2, 5], True),
+        (5, None, False), (4, [0, 3], False),
+    ])
+    def test_hit_is_bit_identical_to_recommend(self, engine, k, exclude,
+                                               exclude_rated):
+        users = [2, 9, 2, 14]
+        excludes = [exclude] * len(users)
+        expected = engine.recommend_many(users, k=k,
+                                         exclude_rated=exclude_rated,
+                                         excludes=excludes)
+        probed = engine.lookup_many(users, k=k, exclude_rated=exclude_rated,
+                                    excludes=excludes)
+        assert [ranked_tuples(r) for r in probed] == \
+            [ranked_tuples(r) for r in expected]
+
+    def test_exclusions_probe_at_depth_k_plus_bans(self, engine):
+        engine.recommend(6, k=3, exclude=[1, 2])  # caches depth 5
+        assert engine.lookup_many([6], k=5) != [None]
+        assert engine.lookup_many([6], k=3) == [None]
+        assert engine.lookup_many([6], k=4, excludes=[[1, 2]]) == [None]
+        probed = engine.lookup_many([6], k=3, excludes=[[7, 8]])[0]
+        assert ranked_tuples(probed) == \
+            ranked_tuples(engine.recommend(6, k=3, exclude=[7, 8]))
+
+    def test_counts_hits_and_leaves_misses_to_the_solve(self, engine):
+        engine.recommend(0, k=4)
+        before = engine.stats()
+        probed = engine.lookup_many([0, 1, 0], k=4)
+        assert [p is None for p in probed] == [False, True, False]
+        after = engine.stats()
+        assert after["result_hits"] - before["result_hits"] == 2
+        assert after["result_misses"] == before["result_misses"]
+        engine.recommend_many([1], k=4)  # the miss is counted once, here
+        assert engine.stats()["result_misses"] == before["result_misses"] + 1
+
+    def test_validates_like_recommend_many(self, engine):
+        with pytest.raises(UnknownUserError):
+            engine.lookup_many([0, 10**6], k=3)
+        with pytest.raises(ConfigError, match="excludes"):
+            engine.lookup_many([0, 1], k=3, excludes=[None])
+        with pytest.raises(ConfigError):
+            engine.lookup_many([0], k=0)
+
+    def test_uncached_engine_answers_none_without_the_lock(self, fitted_at):
+        engine = ServingEngine(fitted_at, result_cache_size=0)
+        engine.recommend(0, k=3)
+        engine._lock = None  # any `with self._lock` would now raise
+        assert engine.lookup_many([0, 0], k=3) == [None, None]

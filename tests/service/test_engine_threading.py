@@ -8,6 +8,7 @@ increments (every single-user request is exactly one hit or one miss), no
 corrupted entries — and results identical to a serial engine throughout.
 """
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -88,6 +89,48 @@ def test_concurrent_recommend_and_invalidate(fitted_at, small_synth,
     for row in after.rows:
         if row["rank"] == 1:
             assert (row["item"], row["score"]) == serial_rows[row["user"]][0]
+
+
+def test_probe_then_solve_counts_each_request_once(fitted_at, small_synth,
+                                                    serial_rows):
+    """The front end's read shape under contention: probe, solve on a miss.
+
+    A probe hit counts once in the probe and a miss once in the solve that
+    follows, so with evictions interleaved every read is still exactly one
+    hit or one miss, and every answer matches the serial engine.
+    """
+    engine = ServingEngine(fitted_at)
+    n_users = small_synth.dataset.n_users
+    rng = np.random.default_rng(11)
+    ops = [("read", int(u))
+           for u in rng.integers(0, n_users, size=n_users * ROUNDS)]
+    n_reads = len(ops)
+    ops += [("evict", int(u)) for u in rng.integers(0, n_users, size=n_users)]
+    rng.shuffle(ops)
+
+    def run(op):
+        kind, user = op
+        if kind == "evict":
+            engine.invalidate_user(user)
+            return None
+        ranked = engine.lookup_many([user], k=5)[0]
+        if ranked is None:
+            ranked = engine.recommend_many([user], k=5)[0]
+        return user, [(r.item, r.score) for r in ranked]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=N_THREADS) as pool:
+            results = [r for r in pool.map(run, ops, timeout=60)
+                       if r is not None]
+    finally:
+        sys.setswitchinterval(interval)
+
+    for user, rows in results:
+        assert rows == serial_rows[user], f"user {user} served wrong rows"
+    assert len(results) == n_reads
+    assert engine.result_cache_hits + engine.result_cache_misses == n_reads
 
 
 def test_version_bump_blocks_stale_reinsert(fitted_at, small_synth):

@@ -263,6 +263,24 @@ class TestBackpressure:
 
         assert_same_rankings(run(scenario()), engine.recommend(1, k=3))
 
+    def test_cache_hit_is_never_shed(self, engine):
+        # max_queue bounds the solve backlog only: a hit takes no queue
+        # slot, so a full queue of cold requests cannot shed it.
+        expected = engine.recommend(0, k=3)
+
+        async def scenario():
+            async with BatchingServer(engine, max_queue=1,
+                                      max_delay_ms=0.0) as server:
+                return await asyncio.gather(
+                    server.recommend(1, k=3), server.recommend(2, k=3),
+                    server.recommend(0, k=3), return_exceptions=True)
+
+        cold, shed, hit = run(scenario())
+        assert isinstance(cold, list)
+        assert isinstance(shed, OverloadedError)  # the queue really was full
+        assert isinstance(hit, list)  # served, not shed
+        assert_same_rankings(hit, expected)
+
     def test_not_running_rejects(self, engine):
         async def scenario():
             server = BatchingServer(engine)
@@ -392,6 +410,113 @@ class TestAdmissionValidation:
 
         report = run(scenario())
         assert report.n_accepted == 0  # nothing malformed reached the queue
+
+
+class TestInlineHits:
+    """Result-cache hits are answered at admission, never queued."""
+
+    @pytest.mark.parametrize("k, exclude, exclude_rated", [
+        (3, None, True), (8, None, True), (4, [1, 2, 5], True),
+        (5, None, False), (4, [0, 3], False),
+    ])
+    def test_inline_answers_bit_identical(self, engine, k, exclude,
+                                          exclude_rated):
+        users = list(range(0, 24, 3))
+        expected = [engine.recommend(user, k=k, exclude_rated=exclude_rated,
+                                     exclude=exclude) for user in users]
+
+        async def scenario():
+            async with BatchingServer(engine, max_batch_size=16,
+                                      max_delay_ms=5.0) as server:
+                ranked = await asyncio.gather(*[
+                    server.recommend(user, k=k, exclude_rated=exclude_rated,
+                                     exclude=exclude) for user in users])
+                return ranked, server.report()
+
+        ranked, report = run(scenario())
+        assert report.inline_hits == len(users)
+        assert report.n_batches == 0
+        for got, want in zip(ranked, expected):
+            assert_same_rankings(got, want)
+
+    def test_warm_requests_skip_the_batch_and_the_solve(self, engine):
+        n = 30
+        users = [user % 10 for user in range(n)]
+        engine.recommend_many(list(range(10)), k=4)
+        before = engine.stats()
+
+        async def scenario():
+            async with BatchingServer(engine, max_batch_size=8,
+                                      max_delay_ms=20.0) as server:
+                await asyncio.gather(*[server.recommend(user, k=4)
+                                       for user in users])
+                return server.report()
+
+        report = run(scenario())
+        after = engine.stats()
+        assert report.n_batches == 0
+        assert after["solves"] == before["solves"]
+        assert after["result_misses"] == before["result_misses"]
+        assert after["result_hits"] - before["result_hits"] == n
+        assert report.inline_hits == n
+        # Inline hits keep the books balanced and feed the latency window.
+        assert report.n_accepted == report.n_completed == n
+        assert report.latency_ms_max > 0.0
+        assert report.queue_depth == report.max_queue_depth == 0
+
+    def test_miss_still_batched_then_hits_inline(self, engine):
+        async def scenario():
+            async with BatchingServer(engine, max_delay_ms=0.0) as server:
+                cold = await server.recommend(5, k=3)
+                warm = await server.recommend(5, k=3)
+                return cold, warm, server.report()
+
+        cold, warm, report = run(scenario())
+        assert_same_rankings(cold, warm)
+        assert report.n_batches == 1
+        assert report.inline_hits == 1
+        assert report.n_completed == 2
+
+    def test_uncached_engine_batches_every_request(self, fitted_at):
+        engine = ServingEngine(fitted_at, result_cache_size=0)
+        engine.warm()
+
+        async def scenario():
+            async with BatchingServer(engine, max_batch_size=1) as server:
+                for user in (0, 1, 0, 1):
+                    await server.recommend(user, k=10)
+                return server.report()
+
+        report = run(scenario())
+        assert report.inline_hits == 0
+        assert report.n_batches == 4
+        assert report.n_completed == 4
+
+    def test_report_endpoint_counts_inline_hits(self, engine):
+        async def scenario():
+            async with BatchingServer(engine) as server:
+                async with HttpFrontend(server, port=0) as front:
+                    await http_get(front.port, "/recommend?user=4&k=3")
+                    await http_get(front.port, "/recommend?user=4&k=3")
+                    return await http_get(front.port, "/report")
+
+        status, payload = run(scenario())
+        assert status == 200
+        assert payload["inline_hits"] == 1
+        assert payload["completed"] == 2 and payload["batches"] == 1
+
+    def test_sharded_fleet_keeps_the_queue_path(self, fleet):
+        users = [0, 1, 0, 1]
+
+        async def scenario():
+            async with BatchingServer(fleet, max_batch_size=1) as server:
+                for user in users:
+                    await server.recommend(user, k=3)
+                return server.report()
+
+        report = run(scenario())
+        assert report.inline_hits == 0
+        assert report.n_batches == len(users)
 
 
 async def http_get(port, path):

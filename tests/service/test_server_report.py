@@ -73,7 +73,7 @@ class TestServerReport:
     def _report(self):
         return ServerReport(
             n_accepted=100, n_completed=90, n_failed=2,
-            n_rejected_overload=5, n_rejected_deadline=3,
+            n_rejected_overload=5, n_rejected_deadline=3, inline_hits=26,
             n_batches=10, batch_sizes={1: 2, 8: 3, 32: 5},
             latency_ms_p50=1.5, latency_ms_p95=4.25, latency_ms_p99=9.125,
             latency_ms_mean=2.0, latency_ms_max=12.5,
@@ -99,6 +99,7 @@ class TestServerReport:
         payload = json.loads(json.dumps(summary))
         assert payload["batch_sizes"] == {"1": 2, "8": 3, "32": 5}
         assert payload["accepted"] == 100
+        assert payload["inline_hits"] == 26
         assert payload["p95_ms"] == 4.25
         assert payload["requests_per_sec"] == 36.0
 
@@ -114,12 +115,14 @@ class TestServerReport:
         assert rebuilt == report
         assert rebuilt.summary() == report.summary()
         assert rebuilt.batch_sizes == {1: 2, 8: 3, 32: 5}  # int keys again
+        assert rebuilt.inline_hits == 26
 
     def test_round_trip_of_empty_report(self):
         report = ServerReport()
         rebuilt = ServerReport.from_summary(
             json.loads(json.dumps(report.summary())))
         assert rebuilt == report
+        assert rebuilt.inline_hits == 0
         assert rebuilt.requests_per_second == 0.0
 
     def test_books_balance_in_fixture(self):
